@@ -24,9 +24,7 @@ from .errors import (
     ConfigError,
     EmptyConditioningError,
     InstanceTooLargeError,
-    InvalidNoiseSpecError,
     KernelValidationError,
-    MalformedHistoryError,
     SequenceExhaustedError,
     UndefinedConditionalError,
     UndefinedRatioError,
@@ -67,31 +65,12 @@ from .montecarlo import (
     estimate_associational,
     estimate_causal,
 )
-from .noise import NoiseSpec, sample_truncated_normal, truncated_normal_transform
-from .policies import (
-    ExogenousRule,
-    ForcedSequenceRule,
-    ObservedHistory,
-    PolicyRule,
-    ThresholdRule,
-    ThresholdRuleParams,
-    decide_exogenous,
-    decide_forced,
-    decide_threshold,
-)
-from .sir import (
-    CompartmentState,
-    SirParams,
-    Trajectory,
-    simulate_trajectory,
-    sir_step,
-    sir_step_arrays,
-)
+from .noise import truncated_normal_transform
+from .policies import ExogenousRule, ForcedSequenceRule, PolicyRule, ThresholdRule
+from .sir import SirParams, sir_step_arrays
 from .streams import (
-    RandomStream,
     counter_uniform,
     counter_uniform_array,
-    derive_replicate_stream,
     derive_substream_seed,
     mix64,
     stream_key,

@@ -34,10 +34,9 @@ from .finite import (
     random_opportunistic_dgp,
     verify_theorem1,
 )
-from .montecarlo import CONDITIONING_MODES, estimate_associational, estimate_causal
+from .montecarlo import CONDITIONING_MODES, estimate_associational, estimate_causal, simulate
 from .policies import ForcedSequenceRule, ThresholdRule
-from .sir import simulate_trajectory
-from .streams import derive_replicate_stream, derive_substream_seed
+from .streams import derive_substream_seed, stream_keys
 
 
 def fmt(value: float) -> str:
@@ -63,20 +62,21 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 
 def run_figure2(args, config: ExperimentConfig) -> int:
     params = config.sir
-    rng = derive_replicate_stream(derive_substream_seed(config.seed, 2), 0)
+    keys = stream_keys(derive_substream_seed(config.seed, 2), [0])
     rule = ForcedSequenceRule((0,) * params.horizon)
-    trajectory = simulate_trajectory(params, rule, rng)
+    s_series = [params.population - params.initial_infected]
+    i_series = [params.initial_infected]
+    r_series = [0.0]
+    for _, _, s, i, r in simulate(params, rule, keys):
+        s_series.append(float(s[0]))
+        i_series.append(float(i[0]))
+        r_series.append(float(r[0]))
 
-    rows = []
-    xs = []
-    s_series, i_series, r_series = [], [], []
-    for t, state in enumerate(trajectory.states):
-        rows.append([str(t), fmt(state.s), fmt(state.i), fmt(state.r),
-                     fmt(state.outcome(params.population))])
-        xs.append(float(t))
-        s_series.append(state.s)
-        i_series.append(state.i)
-        r_series.append(state.r)
+    xs = [float(t) for t in range(params.horizon + 1)]
+    rows = [
+        [str(t), fmt(s), fmt(i), fmt(r), fmt(1.0 - s / params.population)]
+        for t, (s, i, r) in enumerate(zip(s_series, i_series, r_series))
+    ]
 
     os.makedirs(config.out, exist_ok=True)
     csv_path = os.path.join(config.out, "trajectory.csv")

@@ -3,14 +3,6 @@
 from __future__ import annotations
 
 
-class InvalidNoiseSpecError(ValueError):
-    """Raised when a truncated-normal specification is malformed."""
-
-
-class MalformedHistoryError(ValueError):
-    """Raised when an observed history is inconsistent or incomplete."""
-
-
 class SequenceExhaustedError(IndexError):
     """Raised when a forced treatment sequence is indexed past its horizon."""
 

@@ -24,6 +24,7 @@ the substrate for randomized property tests.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -116,13 +117,18 @@ class FiniteDgp:
                     f"{kind} kernel t={t} row a={a_idx} y={y_idx}: "
                     f"{len(row)} entries for a {width}-letter alphabet"
                 )
-            if any(p < 0.0 for p in row):
+            total = sum(row)
+            if not math.isfinite(total):
+                raise KernelValidationError(
+                    f"{kind} kernel t={t} row a={a_idx} y={y_idx}: non-finite entry in {row!r}"
+                )
+            if abs(total - 1.0) > _ROW_SUM_TOL:
+                raise KernelValidationError(
+                    f"{kind} kernel t={t} row a={a_idx} y={y_idx}: sums to {total!r}"
+                )
+            if min(row) < 0.0:
                 raise KernelValidationError(
                     f"{kind} kernel t={t} row a={a_idx} y={y_idx}: negative entry"
-                )
-            if abs(sum(row) - 1.0) > _ROW_SUM_TOL:
-                raise KernelValidationError(
-                    f"{kind} kernel t={t} row a={a_idx} y={y_idx}: sums to {sum(row)!r}"
                 )
 
     # -- lookups ------------------------------------------------------------

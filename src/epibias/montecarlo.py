@@ -22,6 +22,7 @@ thread count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -66,26 +67,21 @@ class BiasReport:
     bias_evolution: tuple[float, ...]  # associational minus causal per-time means, t = 1..T
 
 
-def _chunk_stats(
-    params: SirParams,
-    rule: PolicyRule,
-    target: np.ndarray | None,
-    master_seed: int,
-    lo: int,
-    hi: int,
-    per_time_conditioning: bool,
-    keep_samples: bool,
-):
-    """Simulate replicates [lo, hi) and reduce them to partial sums.
+def simulate(params: SirParams, rule: PolicyRule, keys: np.ndarray):
+    """Run one replicate per stream key forward under `rule`, day by day.
 
-    Everything returned is a pure function of the arguments, independent of
-    which worker thread runs the chunk.
+    Yields (treatments, outcomes, s, i, r) after each day t = 1..T:
+    treatments is (n, T) with columns filled through t-1, outcomes is
+    (n, T+1) with columns filled through t (column 0 holds y_0), and s, i, r
+    are the compartments at t.  The treatment and outcome arrays are the same
+    objects on every day, filled in place.
+
+    Each day draws, in stream order, one policy uniform when the rule is
+    random, then the infection and recovery noise uniforms.
     """
-    n = hi - lo
+    n = keys.size
     T = params.horizon
     pop = params.population
-
-    keys = stream_keys(master_seed, np.arange(lo, hi, dtype=np.uint64))
     s = np.full(n, pop - params.initial_infected)
     i = np.full(n, params.initial_infected)
     r = np.zeros(n)
@@ -108,6 +104,29 @@ def _chunk_stats(
         s, i, r = sir_step_arrays(s, i, r, params, a, u1, u2)
         treatments[:, t - 1] = a
         outcomes[:, t] = 1.0 - s / pop
+        yield treatments, outcomes, s, i, r
+
+
+def _chunk_stats(
+    params: SirParams,
+    rule: PolicyRule,
+    target: np.ndarray | None,
+    master_seed: int,
+    lo: int,
+    hi: int,
+    per_time_conditioning: bool,
+    keep_samples: bool,
+):
+    """Simulate replicates [lo, hi) and reduce them to partial sums.
+
+    Everything returned is a pure function of the arguments, independent of
+    which worker thread runs the chunk.
+    """
+    n = hi - lo
+    T = params.horizon
+    keys = stream_keys(master_seed, np.arange(lo, hi, dtype=np.uint64))
+    for treatments, outcomes, *_ in simulate(params, rule, keys):
+        pass
 
     if target is None:
         retained_mask = np.ones(n, dtype=bool)
@@ -170,8 +189,9 @@ def _run_engine(
         lo, hi = span
         return _chunk_stats(params, rule, target_arr, master_seed, lo, hi, per_time, keep_samples)
 
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(bounds), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             chunk_results = list(pool.map(work, bounds))
     else:
         chunk_results = [work(span) for span in bounds]

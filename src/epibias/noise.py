@@ -8,47 +8,16 @@ across scenarios, which the reproducibility guarantees depend on.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import ndtr, ndtri
-
-from .errors import InvalidNoiseSpecError
-from .streams import RandomStream
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """A normal distribution N(mean, variance) restricted to [lower, upper].
-
-    With variance 0 the distribution degenerates to the point
-    clamp(mean, lower, upper).
-    """
-
-    mean: float
-    variance: float
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        for name in ("mean", "variance", "lower", "upper"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidNoiseSpecError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.variance < 0:
-            raise InvalidNoiseSpecError(f"variance must be >= 0, got {self.variance!r}")
-        if self.lower > self.upper:
-            raise InvalidNoiseSpecError(
-                f"empty truncation interval: lower={self.lower!r} > upper={self.upper!r}"
-            )
 
 
 def truncated_normal_transform(mean, variance, lower, upper, u):
     """Map uniforms in (0, 1) to truncated-normal variates. Vectorized.
 
     All arguments broadcast.  Zero-variance entries map to
-    clamp(mean, lower, upper) while still consuming their uniform, so array
-    and scalar call sites stay draw-aligned.
+    clamp(mean, lower, upper) while still consuming their uniform, so every
+    replicate's stream stays draw-aligned whatever its state.
     """
     mean = np.asarray(mean, dtype=np.float64)
     variance = np.asarray(variance, dtype=np.float64)
@@ -66,12 +35,3 @@ def truncated_normal_transform(mean, variance, lower, upper, u):
     # Guard against quantile round-off at extreme u; the support contract is hard.
     return np.clip(x, lower, upper)
 
-
-def sample_truncated_normal(spec: NoiseSpec, rng: RandomStream) -> float:
-    """One draw from the truncated normal described by `spec`.
-
-    Consumes exactly one uniform from `rng` in every case, including the
-    zero-variance degenerate one.
-    """
-    u = rng.uniform()
-    return float(truncated_normal_transform(spec.mean, spec.variance, spec.lower, spec.upper, u))

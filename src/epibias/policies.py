@@ -1,72 +1,31 @@
 """Dynamic treatment-assignment rules.
 
 A rule maps the observed history (all past treatments plus all outcomes seen
-so far, including the one just realized) to the next treatment.  Rules are
-immutable and stateless between calls; decisions depend only on the supplied
-history and, for random rules, the supplied stream.  Nothing here can peek at
-future or counterfactual outcomes, so sequential ignorability holds by
-construction.
+so far, including the one just realized) to the next treatment, for a batch
+of replicates that share a time index.  Rules are immutable and stateless
+between calls; decisions depend only on the supplied history and, for random
+rules, the supplied uniforms.  Nothing here can peek at future or
+counterfactual outcomes, so sequential ignorability holds by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedHistoryError, SequenceExhaustedError
-from .streams import RandomStream
-
-
-@dataclass(frozen=True)
-class ObservedHistory:
-    """What a rule is allowed to see when deciding treatment a_{t+1}.
-
-    treatments: a_1..a_t.
-    outcomes: y_0..y_t, one entry longer than treatments, because the
-        decision for a_{t+1} is made after observing y_t (and y_0 is known
-        before any treatment).
-    """
-
-    treatments: tuple[int, ...]
-    outcomes: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.outcomes) != len(self.treatments) + 1:
-            raise MalformedHistoryError(
-                f"outcomes must have exactly one more entry than treatments, "
-                f"got {len(self.outcomes)} outcomes for {len(self.treatments)} treatments"
-            )
-
-    @property
-    def time(self) -> int:
-        """Current time t; the pending decision is for a_{t+1}."""
-        return len(self.treatments)
-
-    @property
-    def latest_outcome(self) -> float:
-        return self.outcomes[-1]
-
-    @property
-    def intervention_started(self) -> bool:
-        return any(a != 0 for a in self.treatments)
+from .errors import SequenceExhaustedError
 
 
 class PolicyRule:
     """Base class for decision rules.
 
-    Subclasses implement `decide`; `decide_batch` has a generic row-by-row
-    fallback and is overridden with vector forms where speed matters.
     `uses_randomness` tells the simulation engine whether to budget one
     uniform per decision.
     """
 
     name: str = "policy"
     uses_randomness: bool = False
-
-    def decide(self, history: ObservedHistory, rng: RandomStream | None) -> int:
-        raise NotImplementedError
 
     def decide_batch(
         self, treatments: np.ndarray, outcomes: np.ndarray, u: np.ndarray | None
@@ -77,120 +36,45 @@ class PolicyRule:
         outcomes including y_0; u: per-replicate uniform when the rule is
         random, else None.
         """
-        n = outcomes.shape[0]
-        out = np.empty(n, dtype=np.int8)
-        for j in range(n):
-            rng = _FixedDraw(float(u[j])) if u is not None else None
-            history = ObservedHistory(
-                tuple(int(x) for x in treatments[j]), tuple(float(x) for x in outcomes[j])
-            )
-            out[j] = self.decide(history, rng)
-        return out
-
-
-class _FixedDraw:
-    """Single-use stand-in for a RandomStream, replaying a pre-drawn uniform."""
-
-    __slots__ = ("_u", "_spent")
-
-    def __init__(self, u: float):
-        self._u = u
-        self._spent = False
-
-    def uniform(self) -> float:
-        if self._spent:
-            raise RuntimeError("rule consumed more than its one budgeted uniform")
-        self._spent = True
-        return self._u
-
-
-# ---------------------------------------------------------------------------
-# Threshold rule
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ThresholdRuleParams:
-    """Trigger threshold for the outcome-reactive rule.
-
-    threshold: intervention starts once the cumulative infection share
-        strictly exceeds this value.
-    persistence: once started, keep intervening (absorbing intervention).
-        The conditioning analysis for a no-intervention target is invariant
-        to this flag, since retained trajectories never start at all.
-    """
-
-    threshold: float
-    persistence: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must be inside (0, 1), got {self.threshold!r}")
-
-
-def decide_threshold(history: ObservedHistory, params: ThresholdRuleParams) -> int:
-    """Self-triggering rule: intervene first when the outcome crosses the threshold.
-
-    Returns 1 when no intervention has started and the latest outcome
-    strictly exceeds the threshold (ties do not trigger).  After a start,
-    returns 1 under persistence and 0 otherwise.  Deterministic; consumes no
-    randomness.
-    """
-    if not history.outcomes:
-        raise MalformedHistoryError("threshold rule needs at least the baseline outcome")
-    if history.intervention_started:
-        return 1 if params.persistence else 0
-    return 1 if history.latest_outcome > params.threshold else 0
+        raise NotImplementedError
 
 
 class ThresholdRule(PolicyRule):
+    """Self-triggering rule: intervene from the first time the outcome crosses
+    the threshold.
+
+    Treats when an intervention has already started (the intervention is
+    absorbing) or the latest outcome strictly exceeds the threshold (ties do
+    not trigger).  Deterministic; consumes no randomness.
+    """
+
     uses_randomness = False
 
-    def __init__(self, threshold: float, persistence: bool = True):
-        self.params = ThresholdRuleParams(threshold, persistence)
+    def __init__(self, threshold: float):
+        if not 0.0 < threshold < 1.0:
+            raise ValueError(f"threshold must be inside (0, 1), got {threshold!r}")
+        self.threshold = threshold
         self.name = f"threshold({threshold:g})"
 
-    @property
-    def threshold(self) -> float:
-        return self.params.threshold
-
-    def decide(self, history: ObservedHistory, rng=None) -> int:
-        return decide_threshold(history, self.params)
-
     def decide_batch(self, treatments, outcomes, u=None) -> np.ndarray:
-        started = (treatments != 0).any(axis=1) if treatments.shape[1] else np.zeros(
-            outcomes.shape[0], dtype=bool
-        )
-        triggered = outcomes[:, -1] > self.params.threshold
-        after_start = np.int8(1 if self.params.persistence else 0)
-        return np.where(started, after_start, triggered.astype(np.int8))
-
-
-# ---------------------------------------------------------------------------
-# Forced (static) sequence
-# ---------------------------------------------------------------------------
-
-def decide_forced(history: ObservedHistory, sequence: Sequence[int]) -> int:
-    """Next treatment from a fixed sequence, ignoring outcomes entirely.
-
-    This is the do-operation used for causal-estimand simulation.
-    """
-    t = history.time
-    if t >= len(sequence):
-        raise SequenceExhaustedError(
-            f"decision index {t} is past the end of a forced sequence of length {len(sequence)}"
-        )
-    return int(sequence[t])
+        started = (treatments != 0).any(axis=1)
+        return (started | (outcomes[:, -1] > self.threshold)).astype(np.int8)
 
 
 class ForcedSequenceRule(PolicyRule):
+    """Next treatment from a fixed 0/1 sequence, ignoring outcomes entirely.
+
+    This is the do-operation used for causal-estimand simulation.
+    """
+
     uses_randomness = False
 
     def __init__(self, sequence: Sequence[int]):
+        sequence = tuple(sequence)
+        if any(a not in (0, 1) for a in sequence):
+            raise ValueError(f"forced treatments must be 0 or 1, got {sequence!r}")
         self.sequence = tuple(int(a) for a in sequence)
         self.name = "forced"
-
-    def decide(self, history: ObservedHistory, rng=None) -> int:
-        return decide_forced(history, self.sequence)
 
     def decide_batch(self, treatments, outcomes, u=None) -> np.ndarray:
         t = treatments.shape[1]
@@ -202,23 +86,14 @@ class ForcedSequenceRule(PolicyRule):
         return np.full(outcomes.shape[0], self.sequence[t], dtype=np.int8)
 
 
-# ---------------------------------------------------------------------------
-# Exogenous coin-flip rule
-# ---------------------------------------------------------------------------
-
-def decide_exogenous(history: ObservedHistory, p: float, rng: RandomStream) -> int:
+class ExogenousRule(PolicyRule):
     """Treat with probability p, independent of the history.
 
     Under this rule observing an outcome never reweights future treatment
     probabilities, so associational and causal quantities coincide.  Used as
     the bias-free null control.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p!r}")
-    return 1 if rng.uniform() < p else 0
 
-
-class ExogenousRule(PolicyRule):
     uses_randomness = True
 
     def __init__(self, p: float):
@@ -226,9 +101,6 @@ class ExogenousRule(PolicyRule):
             raise ValueError(f"p must be in [0, 1], got {p!r}")
         self.p = float(p)
         self.name = f"exogenous({p:g})"
-
-    def decide(self, history: ObservedHistory, rng: RandomStream) -> int:
-        return decide_exogenous(history, self.p, rng)
 
     def decide_batch(self, treatments, outcomes, u) -> np.ndarray:
         return (u < self.p).astype(np.int8)

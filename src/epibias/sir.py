@@ -39,13 +39,11 @@ applied anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .noise import NoiseSpec, sample_truncated_normal, truncated_normal_transform
-from .streams import RandomStream
+from .noise import truncated_normal_transform
 
 
 @dataclass(frozen=True)
@@ -71,6 +69,10 @@ class SirParams:
     horizon: int = 100
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not self.population > 0:
             raise ValueError(f"population must be > 0, got {self.population!r}")
         if not 0 < self.initial_infected < self.population:
@@ -90,60 +92,6 @@ class SirParams:
     def initial_outcome(self) -> float:
         """y_0 = 1 - S_0/N, the infected share before any step runs."""
         return self.initial_infected / self.population
-
-
-@dataclass(frozen=True)
-class CompartmentState:
-    """Susceptible / infected / recovered occupancy at one time step."""
-
-    s: float
-    i: float
-    r: float
-
-    @classmethod
-    def initial(cls, params: SirParams) -> "CompartmentState":
-        return cls(params.population - params.initial_infected, params.initial_infected, 0.0)
-
-    @property
-    def total(self) -> float:
-        return self.s + self.i + self.r
-
-    def outcome(self, population: float) -> float:
-        """Cumulative infection share 1 - S/N."""
-        return 1.0 - self.s / population
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One simulated epidemic: states at t = 0..T, treatments and outcomes at t = 1..T.
-
-    outcomes[t-1] = 1 - S_t/N; the sequence is nondecreasing because S never
-    grows.  treatments[t-1] is the value applied on the step into state t.
-    """
-
-    states: tuple[CompartmentState, ...]
-    treatments: tuple[int, ...]
-    outcomes: tuple[float, ...] = field(default=())
-
-    def __post_init__(self):
-        if len(self.states) != len(self.treatments) + 1:
-            raise ValueError(
-                f"states must have one more entry than treatments: "
-                f"{len(self.states)} states vs {len(self.treatments)} treatments"
-            )
-        if len(self.outcomes) != len(self.treatments):
-            raise ValueError(
-                f"outcomes and treatments must have equal length: "
-                f"{len(self.outcomes)} vs {len(self.treatments)}"
-            )
-
-    @property
-    def horizon(self) -> int:
-        return len(self.treatments)
-
-    @property
-    def final_outcome(self) -> float:
-        return self.outcomes[-1]
 
 
 def sir_step_arrays(s, i, r, params: SirParams, a, u1, u2):
@@ -169,56 +117,3 @@ def sir_step_arrays(s, i, r, params: SirParams, a, u1, u2):
     r_next = r + new_rec + eps2
     return s_next, i_next, r_next
 
-
-def sir_step(
-    state: CompartmentState, params: SirParams, a_t: int, rng: RandomStream
-) -> CompartmentState:
-    """One day of epidemic dynamics for a single replicate.
-
-    Consumes exactly two uniforms from `rng` (infection noise, then recovery
-    noise) even when a drift term is zero, so scalar and array simulations of
-    the same stream stay aligned.
-    """
-    if a_t not in (0, 1):
-        raise ValueError(f"treatment must be 0 or 1, got {a_t!r}")
-    new_inf = math.exp(params.lam * a_t) * params.beta * state.s * state.i / params.population
-    new_rec = params.gamma * state.i
-
-    eps1 = sample_truncated_normal(
-        NoiseSpec(0.0, params.overdispersion * new_inf, -new_inf, state.s - new_inf), rng
-    )
-    infected_pool = state.i + new_inf + eps1
-    eps2 = sample_truncated_normal(
-        NoiseSpec(0.0, params.overdispersion * new_rec, -new_rec, infected_pool - new_rec), rng
-    )
-    return CompartmentState(
-        s=max(state.s - new_inf - eps1, 0.0),
-        i=max(infected_pool - new_rec - eps2, 0.0),
-        r=state.r + new_rec + eps2,
-    )
-
-
-def simulate_trajectory(params: SirParams, rule, rng: RandomStream) -> Trajectory:
-    """Run one full trajectory under a decision rule.
-
-    `rule` is a policy object (see `policies.PolicyRule`); at each step it
-    sees the history up to and including the latest outcome and returns the
-    next treatment.  The stream interleaves policy draws (for random rules)
-    with the two noise draws per day.
-    """
-    from .policies import ObservedHistory  # local import to avoid a cycle
-
-    state = CompartmentState.initial(params)
-    states = [state]
-    treatments: list[int] = []
-    outcomes: list[float] = [params.initial_outcome]
-
-    for _ in range(params.horizon):
-        history = ObservedHistory(tuple(treatments), tuple(outcomes))
-        a_t = int(rule.decide(history, rng))
-        state = sir_step(state, params, a_t, rng)
-        treatments.append(a_t)
-        outcomes.append(state.outcome(params.population))
-        states.append(state)
-
-    return Trajectory(tuple(states), tuple(treatments), tuple(outcomes[1:]))

@@ -95,39 +95,3 @@ def derive_substream_seed(master_seed: int, label: int) -> int:
     """
     return mix64((master_seed + (label + 1) * _SUBSEED) & _MASK64)
 
-
-class RandomStream:
-    """Stateful view of a counter-based stream: repeated `uniform()` calls
-    walk the counter.  Two streams with the same key replay identically."""
-
-    __slots__ = ("key", "counter")
-
-    def __init__(self, key: int, counter: int = 0):
-        self.key = key & _MASK64
-        self.counter = counter
-
-    def uniform(self) -> float:
-        u = counter_uniform(self.key, self.counter)
-        self.counter += 1
-        return u
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """The next `n` uniforms, identical to `n` successive `uniform()` calls."""
-        counters = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        golden = np.uint64(_GOLDEN)
-        out = _to_unit_array(mix64_array(np.uint64(self.key) + counters * golden))
-        self.counter += n
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RandomStream(key={self.key:#018x}, counter={self.counter})"
-
-
-def derive_replicate_stream(master_seed: int, replicate_index: int) -> RandomStream:
-    """Independent reproducible stream for one replicate of one experiment.
-
-    The mapping (seed, index) -> stream is pure, so the same pair always
-    yields the same draw sequence, regardless of process, thread, or the
-    order in which replicates execute.
-    """
-    return RandomStream(stream_key(master_seed, replicate_index))

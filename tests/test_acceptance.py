@@ -27,15 +27,10 @@ from epibias.finite import (
     random_opportunistic_dgp,
     verify_theorem1,
 )
-from epibias.montecarlo import estimate_associational, estimate_causal
-from epibias.policies import ExogenousRule, ForcedSequenceRule, ThresholdRule
-from epibias.sir import CompartmentState, SirParams, simulate_trajectory, sir_step_arrays
-from epibias.streams import (
-    counter_uniform_array,
-    derive_replicate_stream,
-    derive_substream_seed,
-    stream_keys,
-)
+from epibias.montecarlo import estimate_associational, estimate_causal, simulate
+from epibias.policies import ExogenousRule, ThresholdRule
+from epibias.sir import SirParams, sir_step_arrays
+from epibias.streams import counter_uniform_array, derive_substream_seed, stream_keys
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -279,18 +274,12 @@ def test_criterion_08_null_endogeneity_control():
 
 def test_criterion_09_invariant_suite():
     params = SirParams()
-    rule = ExogenousRule(0.2)
+    keys = stream_keys(555, np.arange(1000, dtype=np.uint64))
     worst_gap = 0.0
-    for rep in range(1000):
-        rng = derive_replicate_stream(555, rep)
-        traj = simulate_trajectory(params, rule, rng)
-        prev_y = params.initial_outcome
-        for state, y in zip(traj.states[1:], traj.outcomes):
-            gap = abs(state.total - params.population)
-            worst_gap = max(worst_gap, gap)
-            assert state.s >= 0.0 and state.i >= 0.0 and state.r >= 0.0
-            assert y >= prev_y - 1e-15
-            prev_y = y
+    for t, (_, outcomes, s, i, r) in enumerate(simulate(params, ExogenousRule(0.2), keys), 1):
+        worst_gap = max(worst_gap, float(np.abs(s + i + r - params.population).max()))
+        assert (s >= 0.0).all() and (i >= 0.0).all() and (r >= 0.0).all()
+        assert (outcomes[:, t] >= outcomes[:, t - 1] - 1e-15).all()
     ok = worst_gap <= 1e-6
     report(
         9,

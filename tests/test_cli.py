@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -37,6 +38,25 @@ class TestFigure2:
         main(["figure2", "--out", str(b)])
         assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
         assert (a / "trajectory.svg").read_bytes() == (b / "trajectory.svg").read_bytes()
+
+
+    # sha256 of the files written before figure2 moved onto the engine's day
+    # loop; the trajectory bytes must not move.
+    GOLDEN = {
+        42: ("04e6620b7c159e35ebd707905edebe445411478f4411867a8d14f3d0340b6ffa",
+             "0748942e6aa007938bf740a27967f0ee67d59b189bd79996f885e7e3871c4f4f"),
+        5: ("713412b3c3046cf514739bb8b1ebffa0fc0360baccddcfdd648450232c311d58",
+            "fd17dde8b1b3809d3093b7926942ce3aabd44eb4bc03ae979cfd695149567723"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_golden_bytes(self, tmp_path, capsys, seed):
+        assert main(["figure2", "--out", str(tmp_path), "--seed", str(seed)]) == 0
+        digests = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("trajectory.csv", "trajectory.svg")
+        )
+        assert digests == self.GOLDEN[seed]
 
 
 class TestFigures34:
@@ -124,6 +144,16 @@ class TestOracle:
         assert main(["oracle", "no-such-thing", "--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_kernel_entry_exits_2(self, tmp_path, capsys, value):
+        data = coin_epidemic().to_dict()
+        row = next(iter(data["outcome_kernels"]["1"].values()))
+        row[0] = value
+        payload = tmp_path / "dgp.json"
+        payload.write_text(json.dumps(data))
+        assert main(["oracle", str(payload), "--out", str(tmp_path / "o")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_invalid_json_instance_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"horizon": 1}))
@@ -165,6 +195,19 @@ class TestConfigHandling:
         cfg.write_text("[experiment]\nthreads = zero\n")
         assert main(["print-config", "--config", str(cfg)]) == 2
         assert "error" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["population", "initial_infected", "beta", "gamma",
+                                     "lambda", "overdispersion", "horizon"])
+    def test_non_finite_sir_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[sir]\n{key} = {value}\n")
+        code = main(["figures34", "--config", str(cfg), "--replicates", "50",
+                     "--thresholds", "0.3", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_flag_value_exits_2(self, capsys):
         assert main(["figures34", "--thresholds", "pancake"]) == 2

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from epibias import montecarlo
 from epibias.errors import EmptyConditioningError
-from epibias.montecarlo import compute_bias_report, estimate_associational, estimate_causal
+from epibias.montecarlo import (
+    CHUNK_SIZE,
+    compute_bias_report,
+    estimate_associational,
+    estimate_causal,
+)
 from epibias.policies import ExogenousRule, ThresholdRule
 from epibias.sir import SirParams
 from epibias.streams import derive_substream_seed
@@ -33,6 +39,36 @@ def test_threads_do_not_change_results():
     assert one.mean == four.mean
     assert one.std_error == four.std_error
     assert one.per_time_means == four.per_time_means
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, expected",
+    [(64, 8, [3]), (64, 2, [2]), (2, 8, [2]), (64, None, []), (1, 8, [])],
+)
+def test_worker_threads_are_capped(monkeypatch, threads, cpus, expected):
+    created = []
+
+    class SerialExecutor:
+        """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    params = SirParams(horizon=2)
+    res = estimate_causal(params, (0, 0), 2 * CHUNK_SIZE + 1, 3, threads=threads)
+    assert created == expected  # three chunks
+    assert res.mean == estimate_causal(params, (0, 0), 2 * CHUNK_SIZE + 1, 3).mean
 
 
 def test_replicates_spanning_chunks_match_single_pass():

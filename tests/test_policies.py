@@ -4,83 +4,78 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from epibias.errors import MalformedHistoryError, SequenceExhaustedError
-from epibias.policies import (
-    ExogenousRule,
-    ForcedSequenceRule,
-    ObservedHistory,
-    ThresholdRule,
-    ThresholdRuleParams,
-)
-from epibias.streams import derive_replicate_stream
+from epibias.errors import SequenceExhaustedError
+from epibias.policies import ExogenousRule, ForcedSequenceRule, ThresholdRule
+from epibias.streams import counter_uniform_array, stream_keys
 
 
-def hist(treatments, outcomes):
-    return ObservedHistory(tuple(treatments), tuple(outcomes))
+def decide_one(rule, treatments, outcomes, u=None):
+    """The rule's decision for one replicate with the given history."""
+    u_arr = None if u is None else np.array([u])
+    out = rule.decide_batch(
+        np.array([treatments], dtype=np.int8),
+        np.array([outcomes], dtype=np.float64),
+        u_arr,
+    )
+    assert out.shape == (1,)
+    return int(out[0])
 
 
 class TestThresholdRule:
     def test_below_threshold_does_not_trigger(self):
         rule = ThresholdRule(0.05)
-        assert rule.decide(hist([], [0.0002])) == 0
-        assert rule.decide(hist([0, 0], [0.0002, 0.01, 0.049])) == 0
+        assert decide_one(rule, [], [0.0002]) == 0
+        assert decide_one(rule, [0, 0], [0.0002, 0.01, 0.049]) == 0
 
     def test_tie_does_not_trigger(self):
         rule = ThresholdRule(0.05)
-        assert rule.decide(hist([], [0.05])) == 0
+        assert decide_one(rule, [], [0.05]) == 0
 
     def test_strictly_above_triggers(self):
         rule = ThresholdRule(0.05)
-        assert rule.decide(hist([], [0.050001])) == 1
-        assert rule.decide(hist([0], [0.0002, 0.3])) == 1
+        assert decide_one(rule, [], [0.050001]) == 1
+        assert decide_one(rule, [0], [0.0002, 0.3]) == 1
 
-    def test_persistence_keeps_intervening(self):
+    def test_intervention_is_absorbing(self):
         rule = ThresholdRule(0.05)
         # Started earlier, outcome back below threshold: absorbing.
-        assert rule.decide(hist([0, 1], [0.0002, 0.06, 0.01])) == 1
-
-    def test_non_persistent_variant_stops(self):
-        rule = ThresholdRule(0.05, persistence=False)
-        assert rule.decide(hist([0, 1], [0.0002, 0.06, 0.01])) == 0
+        assert decide_one(rule, [0, 1], [0.0002, 0.06, 0.01]) == 1
 
     def test_threshold_attribute_round_trips(self):
         assert ThresholdRule(0.25).threshold == 0.25
 
     def test_threshold_must_be_interior(self):
-        with pytest.raises(ValueError):
-            ThresholdRuleParams(0.0)
-        with pytest.raises(ValueError):
-            ThresholdRuleParams(1.0)
-
-    def test_malformed_history_rejected(self):
-        with pytest.raises(MalformedHistoryError):
-            hist([0, 0], [0.1])
+        for bad in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError):
+                ThresholdRule(bad)
 
     def test_batch_matches_scalar(self):
+        # Each row of a batch decision equals the rule applied to that row
+        # alone, written out per replicate.
         rule = ThresholdRule(0.1)
         rng = np.random.default_rng(4)
         for t in range(4):
             treatments = rng.integers(0, 2, size=(40, t))
             outcomes = rng.uniform(0, 0.2, size=(40, t + 1))
             batch = rule.decide_batch(treatments, outcomes)
+            assert batch.dtype == np.int8
             for row in range(40):
-                one = rule.decide(
-                    hist(treatments[row].tolist(), outcomes[row].tolist())
-                )
-                assert batch[row] == one
+                started = any(a != 0 for a in treatments[row])
+                expected = 1 if started or outcomes[row, -1] > 0.1 else 0
+                assert batch[row] == expected
 
 
 class TestForcedSequence:
     def test_replays_sequence(self):
         rule = ForcedSequenceRule((0, 1, 1))
-        assert rule.decide(hist([], [0.1])) == 0
-        assert rule.decide(hist([0], [0.1, 0.2])) == 1
-        assert rule.decide(hist([0, 1], [0.1, 0.2, 0.3])) == 1
+        assert decide_one(rule, [], [0.1]) == 0
+        assert decide_one(rule, [0], [0.1, 0.2]) == 1
+        assert decide_one(rule, [0, 1], [0.1, 0.2, 0.3]) == 1
 
     def test_exhaustion_raises(self):
         rule = ForcedSequenceRule((0,))
         with pytest.raises(SequenceExhaustedError):
-            rule.decide(hist([0], [0.1, 0.2]))
+            decide_one(rule, [0], [0.1, 0.2])
 
     def test_batch_ignores_outcomes(self):
         rule = ForcedSequenceRule((1, 0))
@@ -97,17 +92,8 @@ class TestExogenousRule:
 
     def test_decision_is_u_less_than_p(self):
         rule = ExogenousRule(0.3)
-        h = hist([], [0.1])
-
-        class Fixed:
-            def __init__(self, u):
-                self._u = u
-
-            def uniform(self):
-                return self._u
-
-        assert rule.decide(h, Fixed(0.29)) == 1
-        assert rule.decide(h, Fixed(0.31)) == 0
+        assert decide_one(rule, [], [0.1], u=0.29) == 1
+        assert decide_one(rule, [], [0.1], u=0.31) == 0
 
     def test_batch_matches_scalar_semantics(self):
         rule = ExogenousRule(0.6)
@@ -117,8 +103,8 @@ class TestExogenousRule:
 
     def test_long_run_frequency(self):
         rule = ExogenousRule(0.25)
-        rng = derive_replicate_stream(99, 0)
-        draws = [rule.decide(hist([], [0.1]), rng) for _ in range(4000)]
+        u = counter_uniform_array(stream_keys(99, np.arange(4000, dtype=np.uint64)), 0)
+        draws = rule.decide_batch(np.zeros((4000, 0)), np.full((4000, 1), 0.1), u)
         assert abs(np.mean(draws) - 0.25) < 0.02
 
     def test_probability_validated(self):
@@ -128,20 +114,6 @@ class TestExogenousRule:
             ExogenousRule(1.5)
 
 
-class TestObservedHistory:
-    def test_shape_contract(self):
-        h = hist([0, 1], [0.0, 0.1, 0.2])
-        assert h.time == 2
-        assert h.latest_outcome == 0.2
-        assert h.intervention_started
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(MalformedHistoryError):
-            hist([0], [0.1])
-        with pytest.raises(MalformedHistoryError):
-            hist([], [])
-
-
 @given(
     threshold=st.floats(0.01, 0.99),
     outcomes=st.lists(st.floats(0, 1), min_size=1, max_size=6),
@@ -149,5 +121,5 @@ class TestObservedHistory:
 def test_threshold_rule_never_triggers_below(threshold, outcomes):
     rule = ThresholdRule(threshold)
     treatments = [0] * (len(outcomes) - 1)
-    decision = rule.decide(hist(treatments, outcomes))
+    decision = decide_one(rule, treatments, outcomes)
     assert decision == (1 if outcomes[-1] > threshold else 0)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epibias.montecarlo import estimate_causal, simulate
+from epibias.noise import truncated_normal_transform
 from epibias.policies import ExogenousRule, ForcedSequenceRule
-from epibias.sir import CompartmentState, SirParams, Trajectory, sir_step, sir_step_arrays, simulate_trajectory
-from epibias.streams import derive_replicate_stream, stream_key
+from epibias.sir import SirParams, sir_step_arrays
+from epibias.streams import counter_uniform, counter_uniform_array, stream_key, stream_keys
 
 
 def zero_noise_params(**overrides) -> SirParams:
@@ -17,92 +19,109 @@ def zero_noise_params(**overrides) -> SirParams:
     return SirParams(**defaults)
 
 
+def step_one(s, i, r, params, a, u1=0.5, u2=0.5):
+    """One day for a single replicate, through the vectorized kernel."""
+    s, i, r = sir_step_arrays(
+        np.array([s]), np.array([i]), np.array([r]), params, a, np.array([u1]), np.array([u2])
+    )
+    return float(s[0]), float(i[0]), float(r[0])
+
+
+def reference_step(s, i, r, params, a, u1, u2):
+    """The day's update written out per replicate from the `sir.py` docstring."""
+    new_inf = math.exp(params.lam * a) * params.beta * s * i / params.population
+    new_rec = params.gamma * i
+    eps1 = float(truncated_normal_transform(
+        0.0, params.overdispersion * new_inf, -new_inf, s - new_inf, u1))
+    pool = i + new_inf + eps1
+    eps2 = float(truncated_normal_transform(
+        0.0, params.overdispersion * new_rec, -new_rec, pool - new_rec, u2))
+    return max(s - new_inf - eps1, 0.0), max(pool - new_rec - eps2, 0.0), r + new_rec + eps2
+
+
 def test_single_step_drift_at_default_parameters():
     # With the noise zeroed, one day from (999800, 200, 0) moves
     # beta*S*I/N = 57.1314... into I and 200/7 = 28.5714... out of it.
-    params = zero_noise_params()
-    state = CompartmentState(999_800.0, 200.0, 0.0)
-    rng = derive_replicate_stream(0, 0)
-    nxt = sir_step(state, params, 0, rng)
-    assert nxt.s == pytest.approx(999_742.8686, abs=1e-3)
-    assert nxt.i == pytest.approx(228.5600, abs=1e-3)
-    assert nxt.r == pytest.approx(28.5714, abs=1e-3)
+    s, i, r = step_one(999_800.0, 200.0, 0.0, zero_noise_params(), 0)
+    assert s == pytest.approx(999_742.8686, abs=1e-3)
+    assert i == pytest.approx(228.5600, abs=1e-3)
+    assert r == pytest.approx(28.5714, abs=1e-3)
 
 
 def test_zero_overdispersion_reduces_to_classical_recursion():
     params = zero_noise_params(horizon=50)
-    rng = derive_replicate_stream(1, 0)
-    state = CompartmentState.initial(params)
+    state = (params.population - params.initial_infected, params.initial_infected, 0.0)
 
-    s, i, r = state.s, state.i, state.r
+    s, i, r = state
     for _ in range(50):
-        state = sir_step(state, params, 0, rng)
+        state = step_one(*state, params, 0)
         new_inf = params.beta * s * i / params.population
         new_rec = params.gamma * i
         s, i, r = s - new_inf, i + new_inf - new_rec, r + new_rec
-    assert state.s == pytest.approx(s, rel=1e-12)
-    assert state.i == pytest.approx(i, rel=1e-12)
-    assert state.r == pytest.approx(r, rel=1e-12)
+    assert state[0] == pytest.approx(s, rel=1e-12)
+    assert state[1] == pytest.approx(i, rel=1e-12)
+    assert state[2] == pytest.approx(r, rel=1e-12)
 
 
 def test_treatment_attenuates_transmission():
     params = zero_noise_params()
-    state = CompartmentState(999_800.0, 200.0, 0.0)
-    untreated = sir_step(state, params, 0, derive_replicate_stream(0, 0))
-    treated = sir_step(state, params, 1, derive_replicate_stream(0, 0))
-    drop_untreated = state.s - untreated.s
-    drop_treated = state.s - treated.s
+    s0 = 999_800.0
+    untreated = step_one(s0, 200.0, 0.0, params, 0)
+    treated = step_one(s0, 200.0, 0.0, params, 1)
+    drop_untreated = s0 - untreated[0]
+    drop_treated = s0 - treated[0]
     assert drop_treated == pytest.approx(math.exp(params.lam) * drop_untreated, rel=1e-12)
     assert drop_treated < drop_untreated
 
 
 def test_scalar_and_array_steps_agree():
+    # The kernel, run on a batch, equals the per-replicate reference step on
+    # each replicate's own uniforms, bit for bit.
     params = SirParams()
-    state = CompartmentState(999_800.0, 200.0, 0.0)
-    rng = derive_replicate_stream(42, 17)
-    scalar = sir_step(state, params, 0, rng)
-
-    key = stream_key(42, 17)
-    from epibias.streams import counter_uniform
-
-    u1 = np.array([counter_uniform(key, 0)])
-    u2 = np.array([counter_uniform(key, 1)])
-    s, i, r = sir_step_arrays(
-        np.array([state.s]), np.array([state.i]), np.array([state.r]), params, 0, u1, u2
-    )
-    assert s[0] == scalar.s and i[0] == scalar.i and r[0] == scalar.r
+    s = np.array([999_800.0, 500_000.0, 10.0, 900_000.0])
+    i = np.array([200.0, 300_000.0, 5.0, 0.0])
+    r = np.array([0.0, 200_000.0, 999_985.0, 100_000.0])
+    a = np.array([0, 1, 0, 1], dtype=np.int8)
+    keys = stream_keys(42, np.arange(17, 21, dtype=np.uint64))
+    batch = sir_step_arrays(s, i, r, params, a, counter_uniform_array(keys, 0),
+                            counter_uniform_array(keys, 1))
+    for j in range(4):
+        key = stream_key(42, 17 + j)
+        ref = reference_step(s[j], i[j], r[j], params, int(a[j]),
+                             counter_uniform(key, 0), counter_uniform(key, 1))
+        assert tuple(float(x[j]) for x in batch) == ref
 
 
 def test_extinct_state_is_absorbing():
     params = SirParams()
-    state = CompartmentState(900_000.0, 0.0, 100_000.0)
-    rng = derive_replicate_stream(3, 0)
-    for _ in range(5):
-        state = sir_step(state, params, 0, rng)
-    assert state.i == 0.0
-    assert state.s == 900_000.0
-    assert state.r == 100_000.0
+    state = (900_000.0, 0.0, 100_000.0)
+    key = stream_key(3, 0)
+    for day in range(5):
+        state = step_one(*state, params, 0, counter_uniform(key, 2 * day),
+                         counter_uniform(key, 2 * day + 1))
+    assert state == (900_000.0, 0.0, 100_000.0)
 
 
 def test_invariants_over_noisy_trajectories():
     params = SirParams(horizon=40)
-    for rep in range(50):
-        rng = derive_replicate_stream(7, rep)
-        state = CompartmentState.initial(params)
-        prev_y = params.initial_outcome
-        for _ in range(params.horizon):
-            state = sir_step(state, params, 0, rng)
-            assert state.s >= 0 and state.i >= 0 and state.r >= 0
-            assert abs(state.total - params.population) <= 1e-6
-            y = state.outcome(params.population)
-            assert y >= prev_y - 1e-15
-            prev_y = y
+    keys = stream_keys(7, np.arange(50, dtype=np.uint64))
+    prev_y = np.full(50, params.initial_outcome)
+    for _, _, s, i, r in simulate(params, ForcedSequenceRule((0,) * 40), keys):
+        assert (s >= 0).all() and (i >= 0).all() and (r >= 0).all()
+        assert np.abs(s + i + r - params.population).max() <= 1e-6
+        y = 1.0 - s / params.population
+        assert (y >= prev_y - 1e-15).all()
+        prev_y = y
 
 
 def test_rejects_bad_treatment():
-    params = SirParams()
+    # A forced path is the only place a caller chooses treatments directly.
     with pytest.raises(ValueError):
-        sir_step(CompartmentState.initial(params), params, 2, derive_replicate_stream(0, 0))
+        ForcedSequenceRule((0, 2))
+    with pytest.raises(ValueError):
+        ForcedSequenceRule((0.5,))
+    with pytest.raises(ValueError):
+        estimate_causal(SirParams(horizon=2), [2, 2], 10, 1)
 
 
 def test_param_validation():
@@ -114,35 +133,41 @@ def test_param_validation():
         SirParams(gamma=1.5)
     with pytest.raises(ValueError):
         SirParams(horizon=0)
+    for name in ("population", "initial_infected", "beta", "gamma", "lam",
+                 "overdispersion", "horizon"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SirParams(**{name: value})
 
 
 def test_trajectory_structure():
     params = SirParams(horizon=12)
-    rule = ForcedSequenceRule((0,) * 12)
-    traj = simulate_trajectory(params, rule, derive_replicate_stream(11, 0))
-    assert traj.horizon == 12
-    assert len(traj.states) == 13
-    assert len(traj.outcomes) == 12
-    assert traj.treatments == (0,) * 12
-    assert traj.final_outcome == traj.states[-1].outcome(params.population)
-    # Trajectory outcomes are the per-state cumulative shares from t=1 on.
-    for t in range(1, 13):
-        assert traj.outcomes[t - 1] == traj.states[t].outcome(params.population)
+    days = list(simulate(params, ForcedSequenceRule((0,) * 12), stream_keys(11, [0])))
+    assert len(days) == 12
+    treatments, outcomes = days[-1][:2]
+    assert treatments.shape == (1, 12) and outcomes.shape == (1, 13)
+    assert (treatments == 0).all()
+    assert outcomes[0, 0] == params.initial_outcome
+    # Outcomes are the per-day cumulative shares 1 - S_t/N.
+    for t, (_, _, s, i, r) in enumerate(days, start=1):
+        assert outcomes[0, t] == 1.0 - s[0] / params.population
 
 
 def test_trajectory_under_random_rule_consumes_aligned_stream():
-    # A random rule draws one policy uniform per day; the same seed must
-    # reproduce the same trajectory even so.
+    # A random rule draws its policy uniform first each day, then the
+    # infection and recovery noise: three counters per day.
     params = SirParams(horizon=15)
     rule = ExogenousRule(0.5)
-    t1 = simulate_trajectory(params, rule, derive_replicate_stream(2, 5))
-    t2 = simulate_trajectory(params, rule, derive_replicate_stream(2, 5))
-    assert t1 == t2
-
-
-def test_trajectory_shape_validation():
-    with pytest.raises(ValueError):
-        Trajectory(states=(CompartmentState(1, 1, 1),), treatments=(0,), outcomes=(0.1,))
+    key = stream_key(2, 5)
+    state = (params.population - params.initial_infected, params.initial_infected, 0.0)
+    days = simulate(params, rule, stream_keys(2, [5]))
+    for t, (treatments, _, s, i, r) in enumerate(days, start=1):
+        c = 3 * (t - 1)
+        a = int(counter_uniform(key, c) < rule.p)
+        state = reference_step(*state, params, a, counter_uniform(key, c + 1),
+                               counter_uniform(key, c + 2))
+        assert treatments[0, t - 1] == a
+        assert (float(s[0]), float(i[0]), float(r[0])) == state
 
 
 @settings(deadline=None, max_examples=50)
@@ -154,8 +179,8 @@ def test_trajectory_shape_validation():
 )
 def test_one_step_invariants_hold_anywhere(s, i, seed, a):
     params = SirParams(population=s + i + 50.0, initial_infected=1.0)
-    state = CompartmentState(s, i, 50.0)
-    nxt = sir_step(state, params, a, derive_replicate_stream(seed, 0))
-    assert nxt.s >= 0 and nxt.i >= 0 and nxt.r >= 0
-    assert nxt.total == pytest.approx(state.total, abs=1e-6)
-    assert nxt.s <= s + 1e-9
+    key = stream_key(seed, 0)
+    nxt = step_one(s, i, 50.0, params, a, counter_uniform(key, 0), counter_uniform(key, 1))
+    assert min(nxt) >= 0
+    assert sum(nxt) == pytest.approx(s + i + 50.0, abs=1e-6)
+    assert nxt[0] <= s + 1e-9
