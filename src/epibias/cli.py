@@ -302,6 +302,8 @@ def run_oracle(args, config: ExperimentConfig) -> int:
 
 
 def run_fuzz_theorem(args, config: ExperimentConfig) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     rng = np.random.default_rng(config.seed)
     violations = 0
     for index in range(args.count):

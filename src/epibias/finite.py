@@ -72,6 +72,10 @@ class FiniteDgp:
         T = self.horizon
         if T < 1:
             raise KernelValidationError(f"horizon must be >= 1, got {T}")
+        if not all(math.isfinite(y) for y in self.outcome_values):
+            raise KernelValidationError(
+                f"outcome values must be finite, got {self.outcome_values}"
+            )
         if list(self.outcome_values) != sorted(set(self.outcome_values)):
             raise KernelValidationError(
                 f"outcome values must be strictly increasing, got {self.outcome_values}"

@@ -12,6 +12,12 @@ Two quantities are estimated for a static treatment path:
 
 Their difference is the time-varying confounding bias.
 
+From the day its decision leaves the target path, a replicate contributes
+nothing in either conditioning mode, so the day loop retires it there: it
+keeps its diverging decision, its compartments freeze, its later outcome
+columns stay 0, and it draws no more noise.  Every statistic is bit-identical
+to simulating all replicates for all T days.
+
 Determinism: replicates are processed in fixed-size chunks; each replicate's
 randomness comes from a counter-based stream keyed by (seed, replicate
 index); chunk partial sums use numpy's pairwise reduction over arrays whose
@@ -67,7 +73,9 @@ class BiasReport:
     bias_evolution: tuple[float, ...]  # associational minus causal per-time means, t = 1..T
 
 
-def simulate(params: SirParams, rule: PolicyRule, keys: np.ndarray):
+def simulate(
+    params: SirParams, rule: PolicyRule, keys: np.ndarray, target: np.ndarray | None = None
+):
     """Run one replicate per stream key forward under `rule`, day by day.
 
     Yields (treatments, outcomes, s, i, r) after each day t = 1..T:
@@ -78,6 +86,15 @@ def simulate(params: SirParams, rule: PolicyRule, keys: np.ndarray):
 
     Each day draws, in stream order, one policy uniform when the rule is
     random, then the infection and recovery noise uniforms.
+
+    With a `target` path (length T), a lane whose decision a_t differs from
+    target[t-1] is retired on day t: the rule still sees every lane, so the
+    lane's treatments keep its diverging decision, but from day t on it draws
+    no noise uniforms and takes no SIR step.  Its s, i, r stay frozen at
+    their day t-1 values and its outcome columns t..T stay 0.  Live lanes are
+    stepped on the gathered subset; draws are keyed per (replicate, counter)
+    and the step is elementwise, so they get the same bits as a full-width
+    run.  Without a target every lane is live and stepped full width.
     """
     n = keys.size
     T = params.horizon
@@ -87,9 +104,13 @@ def simulate(params: SirParams, rule: PolicyRule, keys: np.ndarray):
     r = np.zeros(n)
 
     treatments = np.zeros((n, T), dtype=np.int8)
-    outcomes = np.empty((n, T + 1))
+    # Zeros, not empty: retired lanes' outcome columns are read (times 0) by
+    # per-time conditioning, and an uninitialised NaN would poison the sums.
+    outcomes = np.zeros((n, T + 1))
     outcomes[:, 0] = params.initial_outcome
 
+    everyone = slice(None)
+    live = everyone  # the lanes still on the target path
     counter = 0
     for t in range(1, T + 1):
         if rule.uses_randomness:
@@ -98,12 +119,24 @@ def simulate(params: SirParams, rule: PolicyRule, keys: np.ndarray):
         else:
             u_policy = None
         a = rule.decide_batch(treatments[:, : t - 1], outcomes[:, :t], u_policy)
-        u1 = counter_uniform_array(keys, counter)
-        u2 = counter_uniform_array(keys, counter + 1)
-        counter += 2
-        s, i, r = sir_step_arrays(s, i, r, params, a, u1, u2)
         treatments[:, t - 1] = a
-        outcomes[:, t] = 1.0 - s / pop
+        if target is not None:
+            stays = a[live] == target[t - 1]
+            if not stays.all():
+                live = np.arange(n)[live][stays]
+        u1 = counter_uniform_array(keys[live], counter)
+        u2 = counter_uniform_array(keys[live], counter + 1)
+        counter += 2
+        # One step call per day even with no live lane left: perfbench's
+        # tracer counts the calls on a thread to find each chunk's last day.
+        stepped = sir_step_arrays(s[live], i[live], r[live], params, a[live], u1, u2)
+        if live is everyone:
+            s, i, r = stepped
+        else:
+            # New arrays each day, so a caller may keep an earlier day's s, i, r.
+            s, i, r = s.copy(), i.copy(), r.copy()
+            s[live], i[live], r[live] = stepped
+        outcomes[live, t] = 1.0 - stepped[0] / pop
         yield treatments, outcomes, s, i, r
 
 
@@ -119,13 +152,15 @@ def _chunk_stats(
 ):
     """Simulate replicates [lo, hi) and reduce them to partial sums.
 
+    With a target, `simulate` retires each replicate at its first divergence;
+    the reductions below read only what a retired replicate keeps.
     Everything returned is a pure function of the arguments, independent of
     which worker thread runs the chunk.
     """
     n = hi - lo
     T = params.horizon
     keys = stream_keys(master_seed, np.arange(lo, hi, dtype=np.uint64))
-    for treatments, outcomes, *_ in simulate(params, rule, keys):
+    for treatments, outcomes, *_ in simulate(params, rule, keys, target):
         pass
 
     if target is None:

@@ -122,6 +122,30 @@ class TestFigures34:
         assert summary[1][4] == "0"
         assert not (out / "bias_summary.svg").exists()
 
+    # sha256 of bias_evolution.csv and bias_summary.csv at seed 42, default
+    # thresholds, 9,888 = 8,192 + 1,696 replicates (a full chunk and a short
+    # one), recorded before associational replicates were retired from the
+    # day loop at their first divergence; the bytes must not move.
+    GOLDEN = {
+        "full-path": ("10947f385ff96b39cb27ea249334a391d13b413813c94bc8dc8ff8c3c760acad",
+                      "ad5121d32603c0cdd136f70357c7d587e6b700c1318d6f988976dfe145e32f63"),
+        "per-time": ("ddab8a23f4fb29c6c61f74c0695318024416a0b07a2c04c9d059cecaff23d03e",
+                     "ad5121d32603c0cdd136f70357c7d587e6b700c1318d6f988976dfe145e32f63"),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("conditioning", sorted(GOLDEN))
+    def test_golden_bytes(self, tmp_path, capsys, conditioning, threads):
+        code = main(["figures34", "--out", str(tmp_path), "--seed", "42",
+                     "--replicates", "9888", "--conditioning", conditioning,
+                     "--threads", str(threads)])
+        assert code == 0
+        digests = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("bias_evolution.csv", "bias_summary.csv")
+        )
+        assert digests == self.GOLDEN[conditioning]
+
 
 class TestOracle:
     def test_builtin_instance(self, tmp_path, capsys):
@@ -154,6 +178,19 @@ class TestOracle:
         assert main(["oracle", str(payload), "--out", str(tmp_path / "o")]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_outcome_value_exits_2(self, tmp_path, capsys, value):
+        data = coin_epidemic().to_dict()
+        data["outcome_values"][-1] = value
+        payload = tmp_path / "dgp.json"
+        payload.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main(["oracle", str(payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "outcome values must be finite" in err
+        assert not (out / "oracle_report.csv").exists()
+
     def test_invalid_json_instance_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"horizon": 1}))
@@ -165,6 +202,15 @@ class TestFuzzTheorem:
         assert main(["fuzz-theorem", "--count", "3", "--seed", "11"]) == 0
         stdout = capsys.readouterr().out
         assert "0 violations" in stdout
+
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_exits_2(self, capsys, count):
+        assert main(["fuzz-theorem", "--count", count, "--seed", "11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--count" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestConfigHandling:

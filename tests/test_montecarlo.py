@@ -13,7 +13,7 @@ from epibias.montecarlo import (
 )
 from epibias.policies import ExogenousRule, ThresholdRule
 from epibias.sir import SirParams
-from epibias.streams import derive_substream_seed
+from epibias.streams import derive_substream_seed, stream_keys
 
 SMALL = SirParams(horizon=10)
 ZEROS = (0,) * SMALL.horizon
@@ -160,6 +160,135 @@ def test_exogenous_rule_conditioning_runs():
     assert res1.replicates_retained == res2.replicates_retained
     # Roughly 2^-6 of replicates survive full-path matching.
     assert 10 < res1.replicates_retained < 80
+
+
+def test_exogenous_bias_report_golden_means():
+    # Values recorded before associational replicates were retired from the
+    # day loop at their first divergence.  8,492 replicates cross a chunk
+    # boundary; per-time conditioning sums outcome columns of every row.
+    params = SirParams(horizon=4)
+    report = compute_bias_report(
+        params, ExogenousRule(0.5), (0,) * 4, CHUNK_SIZE + 300, 17, 2, "per-time"
+    )
+    assert report.causal.mean.hex() == "0x1.efc62f58549dfp-11"
+    assert report.associational.mean.hex() == "0x1.fa1bfea47dd42p-11"
+    assert report.associational.replicates_retained == 519
+    assert [m.hex() for m in report.associational.per_time_means] == [
+        "0x1.789268284fd18p-12",
+        "0x1.1d2807d52fba6p-11",
+        "0x1.8173afe878510p-11",
+        "0x1.fa1bfea47dd42p-11",
+    ]
+
+
+def score_full_width(params, rule, target, seed, lo, hi, per_time):
+    """Reference for `_chunk_stats`: simulate every lane for all T days with
+    no target, then condition on `target` afterwards."""
+    T = params.horizon
+    keys = stream_keys(seed, np.arange(lo, hi, dtype=np.uint64))
+    for treatments, outcomes, *_ in montecarlo.simulate(params, rule, keys):
+        pass
+    matches = treatments == np.asarray(target, dtype=np.int8)
+    on_path = np.logical_and.accumulate(matches, axis=1)
+    retained = on_path[:, -1]
+    if per_time:
+        per_t_sums = (outcomes[:, 1:] * on_path).sum(axis=0)
+        per_t_counts = on_path.sum(axis=0)
+    else:
+        per_t_sums = outcomes[retained, 1:].sum(axis=0)
+        per_t_counts = np.full(T, retained.sum())
+    first_div = on_path.sum(axis=1) + 1  # day of the first mismatch
+    y_final = outcomes[retained, T]
+    return {
+        "retained": int(retained.sum()),
+        "per_t_sums": per_t_sums,
+        "per_t_counts": per_t_counts,
+        "final_sum": float(y_final.sum()),
+        "final_sumsq": float((y_final * y_final).sum()),
+        "divergence_hist": np.bincount(first_div[~retained], minlength=T + 1),
+        "samples": y_final,
+    }
+
+
+RETIREMENT_CASES = [
+    pytest.param(SirParams(horizon=30), ThresholdRule(0.01), (0,) * 30, False, id="threshold"),
+    pytest.param(SirParams(horizon=30), ThresholdRule(0.01), (0,) * 30, True,
+                 id="threshold-per-time"),
+    pytest.param(SirParams(horizon=6), ExogenousRule(0.5), (0, 1, 0, 1, 1, 0), False,
+                 id="exogenous"),
+    pytest.param(SirParams(horizon=6), ExogenousRule(0.5), (0, 1, 0, 1, 1, 0), True,
+                 id="exogenous-per-time"),
+]
+
+
+@pytest.mark.parametrize("params, rule, target, per_time", RETIREMENT_CASES)
+def test_retiring_lanes_matches_full_width_scoring(params, rule, target, per_time):
+    # Lanes that leave the target path stop being simulated; every statistic
+    # must still equal full-width simulation scored afterwards, bit for bit.
+    lo, hi = 100, 2100
+    got = montecarlo._chunk_stats(
+        params, rule, np.asarray(target, dtype=np.int8), 5, lo, hi, per_time, True
+    )
+    want = score_full_width(params, rule, target, 5, lo, hi, per_time)
+    assert 0 < got["retained"] < hi - lo
+    assert got.keys() == want.keys()
+    for field in want:
+        assert np.array_equal(got[field], want[field]), field
+        assert np.asarray(got[field]).dtype.kind == np.asarray(want[field]).dtype.kind, field
+
+
+@pytest.mark.parametrize(
+    "rule, target, all_leave_on_day_1",
+    [
+        pytest.param(ThresholdRule(0.01), (0,) * 30, False, id="threshold"),
+        pytest.param(ThresholdRule(1e-7), (0,) * 30, True, id="below-y0"),
+        pytest.param(ExogenousRule(0.5), (1, 0) * 15, False, id="exogenous"),
+    ],
+)
+def test_retired_lanes_take_no_steps(monkeypatch, rule, target, all_leave_on_day_1):
+    # A lane that first diverges on day d takes d - 1 steps, a retained lane
+    # T; the day loop still makes one step call per day when none is live.
+    params = SirParams(horizon=30)
+    lanes = []
+    step = montecarlo.sir_step_arrays
+
+    def counted(s, *args):
+        lanes.append(s.size)
+        return step(s, *args)
+
+    monkeypatch.setattr(montecarlo, "sir_step_arrays", counted)
+    n = 1500
+    res = montecarlo._chunk_stats(
+        params, rule, np.asarray(target, dtype=np.int8), 9, 0, n, False, False
+    )
+    T = params.horizon
+    hist = res["divergence_hist"]
+    assert hist.sum() + res["retained"] == n
+    assert (hist[1] == n) == all_leave_on_day_1
+    assert len(lanes) == T
+    steps_before_divergence = (hist * (np.arange(T + 1) - 1)).sum()
+    assert sum(lanes) == steps_before_divergence + res["retained"] * T
+
+
+def test_retired_lanes_freeze():
+    # A lane retired on day d keeps its s, i, r at their day d-1 values and
+    # its outcome columns d..T at 0.
+    params = SirParams(horizon=8)
+    target = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.int8)
+    n = 1024
+    keys = stream_keys(3, np.arange(n, dtype=np.uint64))
+    was_on = np.ones(n, dtype=bool)
+    prev = None
+    days = montecarlo.simulate(params, ExogenousRule(0.5), keys, target)
+    for t, (treatments, outcomes, s, i, r) in enumerate(days, 1):
+        on = was_on & (treatments[:, t - 1] == target[t - 1])
+        assert (outcomes[~on, t] == 0.0).all() and (outcomes[on, t] > 0.0).all()
+        if prev is not None:
+            for now, before in zip((s, i, r), prev):
+                assert np.array_equal(now[~on], before[~on])
+        prev = (s.copy(), i.copy(), r.copy())
+        was_on = on
+    assert 0 < was_on.sum() < n
 
 
 def test_rejects_bad_arguments():
