@@ -67,7 +67,7 @@ def run_figure2(args, config: ExperimentConfig) -> int:
     s_series = [params.population - params.initial_infected]
     i_series = [params.initial_infected]
     r_series = [0.0]
-    for _, _, s, i, r in simulate(params, rule, keys):
+    for *_, s, i, r in simulate(params, rule, keys):
         s_series.append(float(s[0]))
         i_series.append(float(i[0]))
         r_series.append(float(r[0]))

@@ -12,11 +12,12 @@ Two quantities are estimated for a static treatment path:
 
 Their difference is the time-varying confounding bias.
 
-From the day its decision leaves the target path, a replicate contributes
-nothing in either conditioning mode, so the day loop retires it there: it
-keeps its diverging decision, its compartments freeze, its later outcome
-columns stay 0, and it draws no more noise.  Every statistic is bit-identical
-to simulating all replicates for all T days.
+The day loop carries per-replicate state, not histories.  From the day its
+decision leaves the target path, a replicate contributes nothing in either
+conditioning mode, so the day loop retires it there and records the day: its
+compartments freeze, its later outcome columns stay 0, and it is not decided
+or drawn for again.  Every statistic is read from those days and the
+outcomes, bit-identical to simulating all replicates for all T days.
 
 Determinism: replicates are processed in fixed-size chunks; each replicate's
 randomness comes from a counter-based stream keyed by (seed, replicate
@@ -37,10 +38,8 @@ import numpy as np
 
 from .errors import EmptyConditioningError
 from .policies import ForcedSequenceRule, PolicyRule
-from .sir import SirParams, sir_step_arrays
+from .sir import CHUNK_SIZE, SirParams, sir_step_arrays
 from .streams import counter_uniform_array, derive_substream_seed, stream_keys
-
-CHUNK_SIZE = 8192
 
 CONDITIONING_MODES = ("full-path", "per-time")
 
@@ -78,23 +77,23 @@ def simulate(
 ):
     """Run one replicate per stream key forward under `rule`, day by day.
 
-    Yields (treatments, outcomes, s, i, r) after each day t = 1..T:
-    treatments is (n, T) with columns filled through t-1, outcomes is
-    (n, T+1) with columns filled through t (column 0 holds y_0), and s, i, r
-    are the compartments at t.  The treatment and outcome arrays are the same
-    objects on every day, filled in place.
+    Yields (last, diverged, outcomes, s, i, r) after each day t = 1..T:
+    last holds each lane's latest decision, diverged its first-divergence day
+    (0 while on the target), outcomes is (n, T+1) with columns filled through
+    t (column 0 holds y_0), and s, i, r are the compartments at t.  last,
+    diverged and outcomes are the same objects every day, filled in place.
 
-    Each day draws, in stream order, one policy uniform when the rule is
-    random, then the infection and recovery noise uniforms.
+    Each day the rule sees each live lane's a_{t-1} and y_{t-1}, and draws,
+    in stream order, one policy uniform when the rule is random, then the
+    infection and recovery noise uniforms.
 
-    With a `target` path (length T), a lane whose decision a_t differs from
-    target[t-1] is retired on day t: the rule still sees every lane, so the
-    lane's treatments keep its diverging decision, but from day t on it draws
-    no noise uniforms and takes no SIR step.  Its s, i, r stay frozen at
-    their day t-1 values and its outcome columns t..T stay 0.  Live lanes are
-    stepped on the gathered subset; draws are keyed per (replicate, counter)
-    and the step is elementwise, so they get the same bits as a full-width
-    run.  Without a target every lane is live and stepped full width.
+    With a `target` path (length T), a lane whose a_t differs from
+    target[t-1] is retired on day t: diverged records t, last keeps a_t, and
+    from then on the lane is not decided, draws nothing and takes no SIR
+    step, so its s, i, r freeze and its outcome columns t..T stay 0.  Live
+    lanes are gathered; draws are keyed per (replicate, counter) and every
+    operation is elementwise, so they get the same bits as a full-width run.
+    Without a target every lane is live and stepped full width.
     """
     n = keys.size
     T = params.horizon
@@ -103,9 +102,10 @@ def simulate(
     i = np.full(n, params.initial_infected)
     r = np.zeros(n)
 
-    treatments = np.zeros((n, T), dtype=np.int8)
-    # Zeros, not empty: retired lanes' outcome columns are read (times 0) by
-    # per-time conditioning, and an uninitialised NaN would poison the sums.
+    last = np.zeros(n, dtype=np.int8)
+    diverged = np.zeros(n, dtype=np.int64)
+    # Zeros, not empty: per-time conditioning sums every row's outcome
+    # columns, retired ones included, and an uninitialised NaN would survive.
     outcomes = np.zeros((n, T + 1))
     outcomes[:, 0] = params.initial_outcome
 
@@ -113,23 +113,25 @@ def simulate(
     live = everyone  # the lanes still on the target path
     counter = 0
     for t in range(1, T + 1):
+        u_policy = None
         if rule.uses_randomness:
-            u_policy = counter_uniform_array(keys, counter)
+            u_policy = counter_uniform_array(keys[live], counter)
             counter += 1
-        else:
-            u_policy = None
-        a = rule.decide_batch(treatments[:, : t - 1], outcomes[:, :t], u_policy)
-        treatments[:, t - 1] = a
+        a = rule.decide_batch(t, last[live], outcomes[live, t - 1], u_policy)
+        last[live] = a
         if target is not None:
-            stays = a[live] == target[t - 1]
-            if not stays.all():
-                live = np.arange(n)[live][stays]
+            leaves = a != target[t - 1]
+            if leaves.any():
+                lanes = np.arange(n)[live]
+                diverged[lanes[leaves]] = t
+                live = lanes[~leaves]
+                a = a[~leaves]
         u1 = counter_uniform_array(keys[live], counter)
         u2 = counter_uniform_array(keys[live], counter + 1)
         counter += 2
         # One step call per day even with no live lane left: perfbench's
         # tracer counts the calls on a thread to find each chunk's last day.
-        stepped = sir_step_arrays(s[live], i[live], r[live], params, a[live], u1, u2)
+        stepped = sir_step_arrays(s[live], i[live], r[live], params, a, u1, u2)
         if live is everyone:
             s, i, r = stepped
         else:
@@ -137,7 +139,7 @@ def simulate(
             s, i, r = s.copy(), i.copy(), r.copy()
             s[live], i[live], r[live] = stepped
         outcomes[live, t] = 1.0 - stepped[0] / pop
-        yield treatments, outcomes, s, i, r
+        yield last, diverged, outcomes, s, i, r
 
 
 def _chunk_stats(
@@ -152,40 +154,32 @@ def _chunk_stats(
 ):
     """Simulate replicates [lo, hi) and reduce them to partial sums.
 
-    With a target, `simulate` retires each replicate at its first divergence;
-    the reductions below read only what a retired replicate keeps.
-    Everything returned is a pure function of the arguments, independent of
-    which worker thread runs the chunk.
+    Every statistic comes from `simulate`'s divergence days and outcomes.  A
+    replicate retired on day d counts at times before d, and its outcome
+    columns from d on are 0, so per-time sums run over all rows.  The result
+    is a pure function of the arguments, whichever thread runs the chunk.
     """
     n = hi - lo
     T = params.horizon
     keys = stream_keys(master_seed, np.arange(lo, hi, dtype=np.uint64))
-    for treatments, outcomes, *_ in simulate(params, rule, keys, target):
+    for _, diverged, outcomes, *_ in simulate(params, rule, keys, target):
         pass
 
-    if target is None:
-        retained_mask = np.ones(n, dtype=bool)
-        divergence_hist = np.zeros(T + 1, dtype=np.int64)
+    retained_mask = diverged == 0
+    retained = int(retained_mask.sum())
+    divergence_hist = np.bincount(diverged[~retained_mask], minlength=T + 1)
+    # With no row retired the two modes coincide, and the sums read
+    # `outcomes` in place instead of copying every row.
+    if per_time_conditioning or retained == n:
         per_t_sums = outcomes[:, 1:].sum(axis=0)
-        per_t_counts = np.full(T, n, dtype=np.int64)
+        per_t_counts = n - np.cumsum(divergence_hist[1:])
     else:
-        matches = treatments == target
-        if per_time_conditioning:
-            prefix_ok = np.minimum.accumulate(matches, axis=1)
-            per_t_sums = (outcomes[:, 1:] * prefix_ok).sum(axis=0)
-            per_t_counts = prefix_ok.sum(axis=0).astype(np.int64)
-            retained_mask = prefix_ok[:, -1]
-        else:
-            retained_mask = matches.all(axis=1)
-            per_t_sums = outcomes[retained_mask, 1:].sum(axis=0)
-            per_t_counts = np.full(T, int(retained_mask.sum()), dtype=np.int64)
-        full_match = matches.all(axis=1)
-        first_div = np.where(full_match, 0, matches.argmin(axis=1) + 1)
-        divergence_hist = np.bincount(first_div[~full_match], minlength=T + 1)
+        per_t_sums = outcomes[retained_mask, 1:].sum(axis=0)
+        per_t_counts = np.full(T, retained, dtype=np.int64)
 
     y_final = outcomes[retained_mask, T]
     return {
-        "retained": int(retained_mask.sum()),
+        "retained": retained,
         "per_t_sums": per_t_sums,
         "per_t_counts": per_t_counts,
         "final_sum": float(y_final.sum()),

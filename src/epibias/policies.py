@@ -1,11 +1,12 @@
 """Dynamic treatment-assignment rules.
 
-A rule maps the observed history (all past treatments plus all outcomes seen
-so far, including the one just realized) to the next treatment, for a batch
-of replicates that share a time index.  Rules are immutable and stateless
-between calls; decisions depend only on the supplied history and, for random
-rules, the supplied uniforms.  Nothing here can peek at future or
-counterfactual outcomes, so sequential ignorability holds by construction.
+A rule maps a replicate's previous decision a_{t-1} and latest outcome
+y_{t-1} to a_t, for a batch of replicates sharing day t.  The threshold rule
+is absorbing, so on its own histories "already started" is a_{t-1} != 0.
+Rules are immutable and stateless between calls; decisions depend only on
+that state and, for random rules, the supplied uniforms.  Nothing here can
+peek at future or counterfactual outcomes, so sequential ignorability holds
+by construction.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ class PolicyRule:
     uses_randomness: bool = False
 
     def decide_batch(
-        self, treatments: np.ndarray, outcomes: np.ndarray, u: np.ndarray | None
+        self, t: int, last: np.ndarray, y: np.ndarray, u: np.ndarray | None
     ) -> np.ndarray:
-        """Vectorized decision for replicates sharing a time index.
+        """Vectorized day-t decision (t = 1..T) for replicates sharing the day.
 
-        treatments: (n, t) realized treatments so far; outcomes: (n, t+1)
-        outcomes including y_0; u: per-replicate uniform when the rule is
-        random, else None.
+        last: (n,) int8 previous decisions a_{t-1}, 0 on day 1; y: (n,) latest
+        outcomes y_{t-1}; u: per-replicate uniform when the rule is random,
+        else None.  Returns a_t as (n,) int8.
         """
         raise NotImplementedError
 
@@ -56,9 +57,8 @@ class ThresholdRule(PolicyRule):
         self.threshold = threshold
         self.name = f"threshold({threshold:g})"
 
-    def decide_batch(self, treatments, outcomes, u=None) -> np.ndarray:
-        started = (treatments != 0).any(axis=1)
-        return (started | (outcomes[:, -1] > self.threshold)).astype(np.int8)
+    def decide_batch(self, t, last, y, u=None) -> np.ndarray:
+        return ((last != 0) | (y > self.threshold)).astype(np.int8)
 
 
 class ForcedSequenceRule(PolicyRule):
@@ -76,14 +76,13 @@ class ForcedSequenceRule(PolicyRule):
         self.sequence = tuple(int(a) for a in sequence)
         self.name = "forced"
 
-    def decide_batch(self, treatments, outcomes, u=None) -> np.ndarray:
-        t = treatments.shape[1]
-        if t >= len(self.sequence):
+    def decide_batch(self, t, last, y, u=None) -> np.ndarray:
+        if t > len(self.sequence):
             raise SequenceExhaustedError(
-                f"decision index {t} is past the end of a forced sequence "
+                f"day {t} is past the end of a forced sequence "
                 f"of length {len(self.sequence)}"
             )
-        return np.full(outcomes.shape[0], self.sequence[t], dtype=np.int8)
+        return np.full(last.shape[0], self.sequence[t - 1], dtype=np.int8)
 
 
 class ExogenousRule(PolicyRule):
@@ -102,5 +101,5 @@ class ExogenousRule(PolicyRule):
         self.p = float(p)
         self.name = f"exogenous({p:g})"
 
-    def decide_batch(self, treatments, outcomes, u) -> np.ndarray:
+    def decide_batch(self, t, last, y, u) -> np.ndarray:
         return (u < self.p).astype(np.int8)

@@ -45,6 +45,19 @@ import numpy as np
 
 from .noise import truncated_normal_transform
 
+# Replicates per Monte Carlo chunk (`montecarlo` re-exports it).  Part of the
+# byte contract: chunk partial sums are folded in order, so another size
+# changes output bytes.
+CHUNK_SIZE = 8192
+
+# Ceiling, in bytes, on one chunk's working set: CHUNK_SIZE lanes of (T+1)
+# float64 outcomes plus LANE_BYTES of per-lane vectors (stream keys,
+# compartments, uniforms, last decision, divergence day and the step's
+# temporaries).  It bounds the horizon; it is not a setting.
+CHUNK_BYTES_BUDGET = 512 * 2**20
+LANE_BYTES = 128
+MAX_HORIZON = (CHUNK_BYTES_BUDGET // CHUNK_SIZE - LANE_BYTES) // 8 - 1
+
 
 @dataclass(frozen=True)
 class SirParams:
@@ -57,7 +70,10 @@ class SirParams:
     lam: log-scale intervention strength; treatment a multiplies the contact
         rate by exp(lam * a), so lam < 0 attenuates transmission.
     overdispersion: variance of each noise term per unit of drift.
-    horizon: number of simulated days T.
+    horizon: number of simulated days T, at most MAX_HORIZON.
+
+    The day-1 drifts, treated and untreated, and their noise variances must
+    be finite.
     """
 
     population: float = 1_000_000.0
@@ -87,6 +103,20 @@ class SirParams:
             raise ValueError(f"overdispersion must be >= 0, got {self.overdispersion!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
+        if self.horizon > MAX_HORIZON:
+            raise ValueError(
+                f"horizon must be <= {MAX_HORIZON}, got {self.horizon!r}: a "
+                f"{CHUNK_SIZE}-replicate chunk must fit in {CHUNK_BYTES_BUDGET >> 20} MiB"
+            )
+        s0, i0 = self.population - self.initial_infected, self.initial_infected
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.exp(self.lam * np.array([0.0, 1.0]))
+            drifts = np.append(scale * self.beta * s0 * i0 / self.population, self.gamma * i0)
+            day_one = np.append(drifts, self.overdispersion * drifts)
+        if not np.isfinite(day_one).all():
+            raise ValueError(
+                f"day-1 drifts and noise variances must be finite, got {day_one.tolist()}"
+            )
 
     @property
     def initial_outcome(self) -> float:

@@ -276,7 +276,7 @@ def test_criterion_09_invariant_suite():
     params = SirParams()
     keys = stream_keys(555, np.arange(1000, dtype=np.uint64))
     worst_gap = 0.0
-    for t, (_, outcomes, s, i, r) in enumerate(simulate(params, ExogenousRule(0.2), keys), 1):
+    for t, (_, _, outcomes, s, i, r) in enumerate(simulate(params, ExogenousRule(0.2), keys), 1):
         worst_gap = max(worst_gap, float(np.abs(s + i + r - params.population).max()))
         assert (s >= 0.0).all() and (i >= 0.0).all() and (r >= 0.0).all()
         assert (outcomes[:, t] >= outcomes[:, t - 1] - 1e-15).all()

@@ -255,6 +255,20 @@ class TestConfigHandling:
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line", ["horizon = 1000000000000", "population = 1e308"],
+                             ids=["horizon", "population"])
+    def test_unrunnable_sir_value_exits_2(self, tmp_path, capsys, line):
+        # A horizon past the chunk memory budget, and a population whose
+        # day-1 infection drift overflows, are rejected before anything runs.
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[sir]\n{line}\n")
+        code = main(["figures34", "--config", str(cfg), "--replicates", "1",
+                     "--thresholds", "0.3", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_flag_value_exits_2(self, capsys):
         assert main(["figures34", "--thresholds", "pancake"]) == 2
 

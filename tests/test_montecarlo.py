@@ -186,8 +186,9 @@ def score_full_width(params, rule, target, seed, lo, hi, per_time):
     no target, then condition on `target` afterwards."""
     T = params.horizon
     keys = stream_keys(seed, np.arange(lo, hi, dtype=np.uint64))
-    for treatments, outcomes, *_ in montecarlo.simulate(params, rule, keys):
-        pass
+    treatments = np.zeros((hi - lo, T), dtype=np.int8)
+    for t, (last, _, outcomes, *_) in enumerate(montecarlo.simulate(params, rule, keys), 1):
+        treatments[:, t - 1] = last
     matches = treatments == np.asarray(target, dtype=np.int8)
     on_path = np.logical_and.accumulate(matches, axis=1)
     retained = on_path[:, -1]
@@ -246,17 +247,34 @@ def test_retiring_lanes_matches_full_width_scoring(params, rule, target, per_tim
     ],
 )
 def test_retired_lanes_take_no_steps(monkeypatch, rule, target, all_leave_on_day_1):
-    # A lane that first diverges on day d takes d - 1 steps, a retained lane
-    # T; the day loop still makes one step call per day when none is live.
+    # A lane that first diverges on day d is decided on days 1..d and takes
+    # d - 1 steps, a retained lane T of each; the day loop still makes one
+    # step call per day when none is live.  A random rule draws one policy
+    # uniform per decision, and a retired lane draws nothing.
     params = SirParams(horizon=30)
-    lanes = []
+    lanes, decided, policy_draws, draws = [], [], [], []
     step = montecarlo.sir_step_arrays
+    decide = rule.decide_batch
+    draw = montecarlo.counter_uniform_array
 
     def counted(s, *args):
         lanes.append(s.size)
         return step(s, *args)
 
+    def counted_draw(keys, counter):
+        draws.append(keys.size)
+        return draw(keys, counter)
+
+    def counted_decide(t, last, y, u):
+        decided.append(last.size)
+        assert y.size == last.size
+        if u is not None:
+            policy_draws.append(u.size)
+        return decide(t, last, y, u)
+
     monkeypatch.setattr(montecarlo, "sir_step_arrays", counted)
+    monkeypatch.setattr(montecarlo, "counter_uniform_array", counted_draw)
+    monkeypatch.setattr(rule, "decide_batch", counted_decide)
     n = 1500
     res = montecarlo._chunk_stats(
         params, rule, np.asarray(target, dtype=np.int8), 9, 0, n, False, False
@@ -265,14 +283,18 @@ def test_retired_lanes_take_no_steps(monkeypatch, rule, target, all_leave_on_day
     hist = res["divergence_hist"]
     assert hist.sum() + res["retained"] == n
     assert (hist[1] == n) == all_leave_on_day_1
-    assert len(lanes) == T
-    steps_before_divergence = (hist * (np.arange(T + 1) - 1)).sum()
-    assert sum(lanes) == steps_before_divergence + res["retained"] * T
+    assert len(lanes) == T and len(decided) == T
+    days = np.arange(T + 1)
+    assert sum(lanes) == (hist * (days - 1)).sum() + res["retained"] * T
+    assert sum(decided) == (hist * days).sum() + res["retained"] * T
+    assert policy_draws == (decided if rule.uses_randomness else [])
+    assert sum(draws) == sum(policy_draws) + 2 * sum(lanes)
 
 
 def test_retired_lanes_freeze():
-    # A lane retired on day d keeps its s, i, r at their day d-1 values and
-    # its outcome columns d..T at 0.
+    # A lane retired on day d records d as its divergence day, keeps its
+    # diverging decision and its s, i, r at their day d-1 values, and its
+    # outcome columns d..T stay 0.
     params = SirParams(horizon=8)
     target = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.int8)
     n = 1024
@@ -280,13 +302,15 @@ def test_retired_lanes_freeze():
     was_on = np.ones(n, dtype=bool)
     prev = None
     days = montecarlo.simulate(params, ExogenousRule(0.5), keys, target)
-    for t, (treatments, outcomes, s, i, r) in enumerate(days, 1):
-        on = was_on & (treatments[:, t - 1] == target[t - 1])
+    for t, (last, diverged, outcomes, s, i, r) in enumerate(days, 1):
+        on = was_on & (last == target[t - 1])
+        assert (diverged[on] == 0).all() and (diverged[was_on & ~on] == t).all()
         assert (outcomes[~on, t] == 0.0).all() and (outcomes[on, t] > 0.0).all()
         if prev is not None:
-            for now, before in zip((s, i, r), prev):
+            assert np.array_equal(last[~was_on], prev[0][~was_on])
+            for now, before in zip((s, i, r), prev[1:]):
                 assert np.array_equal(now[~on], before[~on])
-        prev = (s.copy(), i.copy(), r.copy())
+        prev = (last.copy(), s.copy(), i.copy(), r.copy())
         was_on = on
     assert 0 < was_on.sum() < n
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from epibias.montecarlo import estimate_causal, simulate
 from epibias.noise import truncated_normal_transform
 from epibias.policies import ExogenousRule, ForcedSequenceRule
-from epibias.sir import SirParams, sir_step_arrays
+from epibias.sir import MAX_HORIZON, SirParams, sir_step_arrays
 from epibias.streams import counter_uniform, counter_uniform_array, stream_key, stream_keys
 
 
@@ -106,7 +106,7 @@ def test_invariants_over_noisy_trajectories():
     params = SirParams(horizon=40)
     keys = stream_keys(7, np.arange(50, dtype=np.uint64))
     prev_y = np.full(50, params.initial_outcome)
-    for _, _, s, i, r in simulate(params, ForcedSequenceRule((0,) * 40), keys):
+    for *_, s, i, r in simulate(params, ForcedSequenceRule((0,) * 40), keys):
         assert (s >= 0).all() and (i >= 0).all() and (r >= 0).all()
         assert np.abs(s + i + r - params.population).max() <= 1e-6
         y = 1.0 - s / params.population
@@ -133,6 +133,14 @@ def test_param_validation():
         SirParams(gamma=1.5)
     with pytest.raises(ValueError):
         SirParams(horizon=0)
+    assert SirParams(horizon=MAX_HORIZON).horizon == MAX_HORIZON
+    with pytest.raises(ValueError, match="MiB"):
+        SirParams(horizon=MAX_HORIZON + 1)
+    # Drift arithmetic that overflows on day 1, untreated or treated.
+    for overflowing in (dict(population=1e308), dict(lam=800.0),
+                        dict(overdispersion=1e308, beta=10.0)):
+        with pytest.raises(ValueError, match="day-1 drifts"):
+            SirParams(**overflowing)
     for name in ("population", "initial_infected", "beta", "gamma", "lam",
                  "overdispersion", "horizon"):
         for value in (float("nan"), float("inf"), float("-inf")):
@@ -144,12 +152,12 @@ def test_trajectory_structure():
     params = SirParams(horizon=12)
     days = list(simulate(params, ForcedSequenceRule((0,) * 12), stream_keys(11, [0])))
     assert len(days) == 12
-    treatments, outcomes = days[-1][:2]
-    assert treatments.shape == (1, 12) and outcomes.shape == (1, 13)
-    assert (treatments == 0).all()
+    last, diverged, outcomes = days[-1][:3]
+    assert last.shape == diverged.shape == (1,) and outcomes.shape == (1, 13)
+    assert last[0] == 0 and diverged[0] == 0
     assert outcomes[0, 0] == params.initial_outcome
     # Outcomes are the per-day cumulative shares 1 - S_t/N.
-    for t, (_, _, s, i, r) in enumerate(days, start=1):
+    for t, (*_, s, i, r) in enumerate(days, start=1):
         assert outcomes[0, t] == 1.0 - s[0] / params.population
 
 
@@ -161,12 +169,12 @@ def test_trajectory_under_random_rule_consumes_aligned_stream():
     key = stream_key(2, 5)
     state = (params.population - params.initial_infected, params.initial_infected, 0.0)
     days = simulate(params, rule, stream_keys(2, [5]))
-    for t, (treatments, _, s, i, r) in enumerate(days, start=1):
+    for t, (last, _, _, s, i, r) in enumerate(days, start=1):
         c = 3 * (t - 1)
         a = int(counter_uniform(key, c) < rule.p)
         state = reference_step(*state, params, a, counter_uniform(key, c + 1),
                                counter_uniform(key, c + 2))
-        assert treatments[0, t - 1] == a
+        assert last[0] == a
         assert (float(s[0]), float(i[0]), float(r[0])) == state
 
 
