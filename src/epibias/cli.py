@@ -12,7 +12,8 @@ Subcommands:
 * `print-config` dump the effective configuration as reloadable INI
 
 Exit codes: 0 success, 1 property violations (fuzz), 2 configuration or
-validation errors, 3 empty conditioning at every threshold, 4 I/O errors.
+validation errors (for `oracle` also a target path the instance's rule never
+follows), 3 empty conditioning at every threshold, 4 I/O errors.
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ import numpy as np
 
 from .charts import LineSeries, render_line_chart
 from .config import ExperimentConfig, apply_overrides, dump_config, load_config, parse_thresholds
-from .errors import ConfigError, EmptyConditioningError, KernelValidationError
+from .errors import (
+    ConfigError,
+    EmptyConditioningError,
+    KernelValidationError,
+    UndefinedConditionalError,
+)
 from .finite import (
     BUILTIN_INSTANCES,
     FiniteDgp,
@@ -245,11 +251,11 @@ def _bool_cell(flag: bool) -> str:
 def run_oracle(args, config: ExperimentConfig) -> int:
     try:
         dgp = _load_instance(args.instance)
-    except KernelValidationError as exc:
+        report = verify_theorem1(dgp, (dgp.treatment_values[0],) * dgp.horizon)
+    except (KernelValidationError, UndefinedConditionalError) as exc:
+        # An unreachable target leaves the associational mean undefined.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    target = (dgp.treatment_values[0],) * dgp.horizon
-    report = verify_theorem1(dgp, target)
 
     rows = [
         ["g_formula", "", "", "", fmt(report.g_formula)],

@@ -17,6 +17,13 @@ arithmetic), with no sampling:
 * the opportunistic-intervention test and the negative-bias theorem check
   built on it.
 
+The kernels are dense arrays indexed by history.  Every quantity along one
+treatment path is read from two passes over them: `_backward`, the
+g-computation recursion, and `_forward`, the reach probability of every
+outcome history.  `enumerate_paths` and `associational_exact` condition the
+enumerated joint law instead; they are the reference the audits check the
+passes against.
+
 These exact values serve as oracles for the Monte Carlo machinery and as
 the substrate for randomized property tests.
 """
@@ -38,112 +45,84 @@ from .errors import (
 )
 
 PATH_CAP = 10_000_000
+# numpy 1.x arrays have at most 32 axes, and outcome_kernels[T] has 2T + 1.
+_MAX_AXES = 32
 
 _ROW_SUM_TOL = 1e-12
 _NEUTRAL_TOL = 1e-12
-
-KernelKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 # ---------------------------------------------------------------------------
 # The tabular process
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteDgp:
     """A tabular data-generating process over finite alphabets.
 
-    Kernel tables are total: `outcome_kernels[t]` has a row for every
-    (treatment-index tuple of length t, outcome-index tuple of length t)
-    pair, t = 1..horizon, and `rule_kernels[t]` one for every (length-t,
-    length-t+1) pair, t = 0..horizon-1.  Rows are probability vectors over
-    the outcome and treatment alphabets respectively.  Keys hold alphabet
-    indices, not values.  Treat instances as immutable once built.
+    Kernel tables are total float arrays indexed by alphabet indices, not
+    values: `outcome_kernels[t][a_1..a_t, y_0..y_{t-1}]`, t = 1..horizon,
+    is the probability vector of y_t, and `rule_kernels[t][a_1..a_t,
+    y_0..y_t]`, t = 0..horizon-1, that of a_{t+1}.  Their shapes are
+    (n_a,)*t + (n_y,)*t + (n_y,) and (n_a,)*t + (n_y,)*(t+1) + (n_a,), so
+    in C order the rows follow `itertools.product` over the history.
+    Validation makes the arrays read-only.
     """
 
     horizon: int
     outcome_values: tuple[float, ...]
     treatment_values: tuple[int, ...]
     initial_outcome_index: int
-    outcome_kernels: dict[int, dict[KernelKey, tuple[float, ...]]]
-    rule_kernels: dict[int, dict[KernelKey, tuple[float, ...]]]
+    outcome_kernels: dict[int, np.ndarray]
+    rule_kernels: dict[int, np.ndarray]
 
     def __post_init__(self):
-        T = self.horizon
-        if T < 1:
-            raise KernelValidationError(f"horizon must be >= 1, got {T}")
-        if not all(math.isfinite(y) for y in self.outcome_values):
-            raise KernelValidationError(
-                f"outcome values must be finite, got {self.outcome_values}"
-            )
-        if list(self.outcome_values) != sorted(set(self.outcome_values)):
-            raise KernelValidationError(
-                f"outcome values must be strictly increasing, got {self.outcome_values}"
-            )
-        if len(set(self.treatment_values)) != len(self.treatment_values):
-            raise KernelValidationError(
-                f"treatment values must be distinct, got {self.treatment_values}"
-            )
-        if not 0 <= self.initial_outcome_index < len(self.outcome_values):
-            raise KernelValidationError(
-                f"initial outcome index {self.initial_outcome_index} outside alphabet"
-            )
-        n_y = len(self.outcome_values)
-        n_a = len(self.treatment_values)
-        if (n_y * n_a) ** T > PATH_CAP:
-            raise InstanceTooLargeError(
-                f"({n_y} outcomes x {n_a} treatments)^{T} exceeds the {PATH_CAP} path cap"
-            )
-        for t in range(1, T + 1):
-            self._validate_table("outcome", t, n_a, t, t, n_y)
-        for t in range(T):
-            self._validate_table("rule", t, n_a, t, t + 1, n_a)
+        _check_header(
+            self.horizon, self.outcome_values, self.treatment_values, self.initial_outcome_index
+        )
+        for kind, t, shape, width in _kernel_specs(
+            self.horizon, len(self.treatment_values), len(self.outcome_values)
+        ):
+            self._validate_table(kind, t, shape + (width,))
 
-    def _validate_table(self, kind, t, n_a, a_len, y_len, width):
-        tables = self.outcome_kernels if kind == "outcome" else self.rule_kernels
-        if t not in tables:
+    def _validate_table(self, kind, t, shape):
+        table = getattr(self, f"{kind}_kernels").get(t)
+        if table is None:
             raise KernelValidationError(f"{kind} kernel missing for t={t}")
-        table = tables[t]
-        expected = (len(self.treatment_values) ** a_len) * (len(self.outcome_values) ** y_len)
-        if len(table) != expected:
+        if not isinstance(table, np.ndarray) or table.dtype != np.float64 or table.shape != shape:
             raise KernelValidationError(
-                f"{kind} kernel t={t}: expected {expected} rows, got {len(table)}"
+                f"{kind} kernel t={t}: expected a float64 array of shape {shape}, "
+                f"got {np.shape(table)}"
             )
-        for key, row in table.items():
-            a_idx, y_idx = key
-            if len(a_idx) != a_len or len(y_idx) != y_len:
+        checks = (
+            ("non-finite entry in", lambda: ~np.isfinite(table).all(axis=-1)),
+            ("does not sum to 1:", lambda: np.abs(table.sum(axis=-1) - 1.0) > _ROW_SUM_TOL),
+            ("negative entry in", lambda: (table < 0.0).any(axis=-1)),
+        )
+        for problem, find_bad in checks:
+            bad = np.argwhere(find_bad())
+            if len(bad):
+                index = tuple(bad[0].tolist())
                 raise KernelValidationError(
-                    f"{kind} kernel t={t} row a={a_idx} y={y_idx}: key lengths "
-                    f"should be ({a_len}, {y_len})"
+                    f"{kind} kernel t={t} row a={index[:t]} y={index[t:]}: "
+                    f"{problem} {table[index].tolist()!r}"
                 )
-            if len(row) != width:
-                raise KernelValidationError(
-                    f"{kind} kernel t={t} row a={a_idx} y={y_idx}: "
-                    f"{len(row)} entries for a {width}-letter alphabet"
-                )
-            total = sum(row)
-            if not math.isfinite(total):
-                raise KernelValidationError(
-                    f"{kind} kernel t={t} row a={a_idx} y={y_idx}: non-finite entry in {row!r}"
-                )
-            if abs(total - 1.0) > _ROW_SUM_TOL:
-                raise KernelValidationError(
-                    f"{kind} kernel t={t} row a={a_idx} y={y_idx}: sums to {total!r}"
-                )
-            if min(row) < 0.0:
-                raise KernelValidationError(
-                    f"{kind} kernel t={t} row a={a_idx} y={y_idx}: negative entry"
-                )
+        table.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteDgp):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     # -- lookups ------------------------------------------------------------
 
     def outcome_row(self, t: int, a_idx: tuple[int, ...], y_idx: tuple[int, ...]):
         """Probability vector of y_t given treatments a_1..a_t, outcomes y_0..y_{t-1}."""
-        return self.outcome_kernels[t][(a_idx, y_idx)]
+        return tuple(self.outcome_kernels[t][a_idx + y_idx].tolist())
 
     def rule_row(self, t: int, a_idx: tuple[int, ...], y_idx: tuple[int, ...]):
         """Probability vector of a_{t+1} given treatments a_1..a_t, outcomes y_0..y_t."""
-        return self.rule_kernels[t][(a_idx, y_idx)]
+        return tuple(self.rule_kernels[t][a_idx + y_idx].tolist())
 
     def outcome_index(self, value: float) -> int:
         try:
@@ -176,47 +155,31 @@ class FiniteDgp:
         rule_fn: Callable[[int, tuple[int, ...], tuple[int, ...]], Sequence[float]],
     ) -> "FiniteDgp":
         """Build total kernel tables by evaluating row functions on every key."""
+        outcome_values = tuple(float(v) for v in outcome_values)
+        treatment_values = tuple(_integer(v, "treatment value") for v in treatment_values)
         # Refuse oversized instances before materializing any table; the
         # tables themselves can dwarf the path count the validator checks.
-        if (len(outcome_values) * len(treatment_values)) ** max(horizon, 1) > PATH_CAP:
-            raise InstanceTooLargeError(
-                f"({len(outcome_values)} outcomes x {len(treatment_values)} "
-                f"treatments)^{horizon} exceeds the {PATH_CAP} path cap"
-            )
-        a_range = range(len(treatment_values))
-        y_range = range(len(outcome_values))
-        outcome_kernels = {}
-        for t in range(1, horizon + 1):
-            outcome_kernels[t] = {
-                (a, y): tuple(float(p) for p in outcome_fn(t, a, y))
-                for a in itertools.product(a_range, repeat=t)
-                for y in itertools.product(y_range, repeat=t)
-            }
-        rule_kernels = {}
-        for t in range(horizon):
-            rule_kernels[t] = {
-                (a, y): tuple(float(p) for p in rule_fn(t, a, y))
-                for a in itertools.product(a_range, repeat=t)
-                for y in itertools.product(y_range, repeat=t + 1)
-            }
+        _check_header(horizon, outcome_values, treatment_values, initial_outcome_index)
+        row_fns = {"outcome": outcome_fn, "rule": rule_fn}
+        tables = {"outcome": {}, "rule": {}}
+        for kind, t, shape, width in _kernel_specs(
+            horizon, len(treatment_values), len(outcome_values)
+        ):
+            tables[kind][t] = _tabulate(kind, row_fns[kind], t, shape, width)
         return cls(
             horizon=horizon,
-            outcome_values=tuple(float(v) for v in outcome_values),
-            treatment_values=tuple(int(v) for v in treatment_values),
+            outcome_values=outcome_values,
+            treatment_values=treatment_values,
             initial_outcome_index=initial_outcome_index,
-            outcome_kernels=outcome_kernels,
-            rule_kernels=rule_kernels,
+            outcome_kernels=tables["outcome"],
+            rule_kernels=tables["rule"],
         )
 
     def with_rule(self, rule_fn) -> "FiniteDgp":
         """Same outcome process, different decision rule."""
         return FiniteDgp.from_functions(
-            self.horizon,
-            self.outcome_values,
-            self.treatment_values,
-            self.initial_outcome_index,
-            lambda t, a, y: self.outcome_kernels[t][(a, y)],
-            rule_fn,
+            self.horizon, self.outcome_values, self.treatment_values, self.initial_outcome_index,
+            lambda t, a, y: self.outcome_kernels[t][a + y], rule_fn,
         )
 
     # -- serialization ------------------------------------------------------
@@ -224,7 +187,10 @@ class FiniteDgp:
     def to_dict(self) -> dict:
         def dump(tables):
             return {
-                str(t): {_dump_key(k): list(row) for k, row in table.items()}
+                str(t): dict(zip(
+                    (_dump_key(index, t) for index in np.ndindex(table.shape[:-1])),
+                    table.reshape(-1, table.shape[-1]).tolist(),
+                ))
                 for t, table in tables.items()
             }
 
@@ -240,36 +206,132 @@ class FiniteDgp:
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteDgp":
         try:
-            def load(tables):
-                return {
-                    int(t): {_parse_key(k): tuple(float(p) for p in row)
-                             for k, row in table.items()}
-                    for t, table in tables.items()
-                }
-
-            return cls(
-                horizon=int(data["horizon"]),
-                outcome_values=tuple(float(v) for v in data["outcome_values"]),
-                treatment_values=tuple(int(v) for v in data["treatment_values"]),
-                initial_outcome_index=int(data["initial_outcome_index"]),
-                outcome_kernels=load(data["outcome_kernels"]),
-                rule_kernels=load(data["rule_kernels"]),
+            horizon = _integer(data["horizon"], "horizon")
+            outcome_values = tuple(float(v) for v in data["outcome_values"])
+            treatment_values = tuple(
+                _integer(v, "treatment value") for v in data["treatment_values"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+            initial = _integer(data["initial_outcome_index"], "initial outcome index")
+            _check_header(horizon, outcome_values, treatment_values, initial)
+            rows = {"outcome": {}, "rule": {}}
+            for kind, t, shape, width in _kernel_specs(
+                horizon, len(treatment_values), len(outcome_values)
+            ):
+                serialized = {int(k): v for k, v in data[f"{kind}_kernels"].items()}.get(t)
+                rows[kind][t] = _place_rows(kind, t, shape, width, serialized)
+            return cls.from_functions(
+                horizon, outcome_values, treatment_values, initial,
+                lambda t, a, y: rows["outcome"][t][a + y],
+                lambda t, a, y: rows["rule"][t][a + y],
+            )
+        except KernelValidationError:
+            raise
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise KernelValidationError(f"malformed instance data: {exc}") from exc
 
 
-def _dump_key(key: KernelKey) -> str:
-    a_idx, y_idx = key
-    return "a=" + ",".join(map(str, a_idx)) + ";y=" + ",".join(map(str, y_idx))
+def _check_header(horizon, outcome_values, treatment_values, initial_outcome_index):
+    """Validate everything but the kernel tables, and refuse oversized instances."""
+    if horizon < 1:
+        raise KernelValidationError(f"horizon must be >= 1, got {horizon}")
+    if not all(math.isfinite(y) for y in outcome_values):
+        raise KernelValidationError(f"outcome values must be finite, got {outcome_values}")
+    if list(outcome_values) != sorted(set(outcome_values)):
+        raise KernelValidationError(
+            f"outcome values must be strictly increasing, got {outcome_values}"
+        )
+    if not treatment_values or len(set(treatment_values)) != len(treatment_values):
+        raise KernelValidationError(
+            f"treatment values must be distinct and not empty, got {treatment_values}"
+        )
+    if not 0 <= initial_outcome_index < len(outcome_values):
+        raise KernelValidationError(
+            f"initial outcome index {initial_outcome_index} outside alphabet"
+        )
+    n_y, n_a = len(outcome_values), len(treatment_values)
+    if 2 * horizon + 1 > _MAX_AXES or (n_y * n_a) ** horizon > PATH_CAP:
+        raise InstanceTooLargeError(
+            f"({n_y} outcomes x {n_a} treatments)^{horizon} exceeds the {PATH_CAP} path cap "
+            f"or the horizon needs more than {_MAX_AXES} array axes"
+        )
 
 
-def _parse_key(text: str) -> KernelKey:
-    a_part, y_part = text.split(";")
-    a_body = a_part.removeprefix("a=")
-    y_body = y_part.removeprefix("y=")
-    a_idx = tuple(int(x) for x in a_body.split(",")) if a_body else ()
-    y_idx = tuple(int(x) for x in y_body.split(",")) if y_body else ()
+def _kernel_specs(horizon, n_a, n_y):
+    """(kind, t, history shape, row width) of every kernel table, in table order."""
+    for t in range(1, horizon + 1):
+        yield "outcome", t, (n_a,) * t + (n_y,) * t, n_y
+    for t in range(horizon):
+        yield "rule", t, (n_a,) * t + (n_y,) * (t + 1), n_a
+
+
+def _integer(value, name: str) -> int:
+    """int(value), refusing a float that int() would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise KernelValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _tabulate(kind, row_fn, t, shape, width) -> np.ndarray:
+    """row_fn(t, a_idx, y_idx) on every history of `shape`, in key order, as one array."""
+    rows = [
+        row_fn(t, a, y)
+        for a in itertools.product(*map(range, shape[:t]))
+        for y in itertools.product(*map(range, shape[t:]))
+    ]
+    try:
+        table = np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise KernelValidationError(f"{kind} kernel t={t}: rows are not numeric: {exc}") from exc
+    if table.shape != (len(rows), width):
+        raise KernelValidationError(
+            f"{kind} kernel t={t}: rows of shape {table.shape[1:]} for a {width}-letter alphabet"
+        )
+    return table.reshape(shape + (width,))
+
+
+def _place_rows(kind, t, shape, width, serialized) -> dict:
+    """Rows of one serialized table by history index; the keys must cover `shape` once."""
+    if serialized is None:
+        raise KernelValidationError(f"{kind} kernel missing for t={t}")
+    placed = {}
+    for key, row in serialized.items():
+        a_idx, y_idx = _parse_key(key)
+        index = a_idx + y_idx
+        if (
+            len(a_idx) != t
+            or len(index) != len(shape)
+            or not all(i in range(n) for i, n in zip(index, shape))
+            or index in placed
+        ):
+            raise KernelValidationError(
+                f"{kind} kernel t={t}: key {key!r} is not a new history inside the alphabets"
+            )
+        if len(row) != width:
+            raise KernelValidationError(
+                f"{kind} kernel t={t} key {key!r}: {len(row)} entries for a "
+                f"{width}-letter alphabet"
+            )
+        placed[index] = row
+    if len(placed) != math.prod(shape):
+        raise KernelValidationError(
+            f"{kind} kernel t={t}: expected {math.prod(shape)} rows, got {len(placed)}"
+        )
+    return placed
+
+
+def _dump_key(index: tuple[int, ...], t: int) -> str:
+    return "a=" + ",".join(map(str, index[:t])) + ";y=" + ",".join(map(str, index[t:]))
+
+
+def _parse_key(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    try:
+        a_part, y_part = text.split(";")
+        a_body = a_part.removeprefix("a=")
+        y_body = y_part.removeprefix("y=")
+        a_idx = tuple(int(x) for x in a_body.split(",")) if a_body else ()
+        y_idx = tuple(int(x) for x in y_body.split(",")) if y_body else ()
+    except ValueError as exc:
+        raise KernelValidationError(f"kernel key {text!r} is not 'a=...;y=...'") from exc
     return (a_idx, y_idx)
 
 
@@ -279,6 +341,63 @@ def _a_indices(dgp: FiniteDgp, treatments: Iterable[int]) -> tuple[int, ...]:
 
 def _y_indices(dgp: FiniteDgp, outcomes: Iterable[float]) -> tuple[int, ...]:
     return tuple(dgp.outcome_index(y) for y in outcomes)
+
+
+# ---------------------------------------------------------------------------
+# The two passes along one treatment path
+# ---------------------------------------------------------------------------
+
+def _pinned(dgp: FiniteDgp, path: tuple[int, ...]):
+    """Views of the kernels with treatments fixed to `path` (indices a_1..a_T).
+
+    P[t][y_0..y_t] = p_t(y_t | path[:t], y_0..y_{t-1}) for t = 1..T (P[0] is
+    None); R[t][y_0..y_t] = pi_t(path[t] | path[:t], y_0..y_t) for t < T.
+    """
+    P = [None] + [dgp.outcome_kernels[t][path[:t]] for t in range(1, dgp.horizon + 1)]
+    R = [dgp.rule_kernels[t][path[:t]][..., path[t]] for t in range(dgp.horizon)]
+    return P, R
+
+
+def _backward(P, R, payoff, stop: int = 0) -> list:
+    """The g-computation recursion along the path that P and R are pinned to.
+
+    V[T][y_0..y_T] = payoff(y_T) and, down to t = stop (V is None below),
+    V[t][y_0..y_t] = R[t] * sum_y P[t+1][y_0..y_t, y] * V[t+1][y_0..y_t, y],
+    with the factor R[t] only when R is given.  With R and payoff 1, V[t]
+    is the lag-0 propensity of the rest of the path.  Without R and with
+    payoff y_T, V[t] is f_{T,t}, and V[0] at y_0 is the g-formula.
+    """
+    T = len(P) - 1
+    V = [None] * (T + 1)
+    V[T] = np.broadcast_to(payoff, P[T].shape)
+    for t in range(T - 1, stop - 1, -1):
+        V[t] = (P[t + 1] * V[t + 1]).sum(axis=-1)
+        if R is not None:
+            V[t] = R[t] * V[t]
+    return V
+
+
+def _forward(P, R, initial: int) -> list:
+    """Reach probabilities along the path that P and R are pinned to.
+
+    F[t][y_0..y_t] is the joint probability of y_0..y_t and a_1..a_t =
+    path[:t], for t = 0..T; F[t] * R[t] adds a_{t+1} = path[t].
+    """
+    F = [np.eye(len(R[0]))[initial]]
+    for t in range(1, len(P)):
+        F.append((F[-1] * R[t - 1])[..., None] * P[t])
+    return F
+
+
+def _path(dgp: FiniteDgp, t: int, treatments, future) -> tuple[int, ...]:
+    """Alphabet indices of a_1..a_t followed by a_{t+1}..a_T, lengths checked."""
+    past, rest = _a_indices(dgp, treatments), _a_indices(dgp, future)
+    if len(past) != t or len(rest) != dgp.horizon - t:
+        raise ValueError(
+            f"expected {t} past and {dgp.horizon - t} future treatments, "
+            f"got {len(past)} and {len(rest)}"
+        )
+    return past + rest
 
 
 # ---------------------------------------------------------------------------
@@ -337,23 +456,12 @@ def enumerate_paths(dgp: FiniteDgp, max_paths: int = PATH_CAP) -> tuple[PathWeig
 def g_formula_exact(dgp: FiniteDgp, target: Sequence[int]) -> float:
     """Mean final outcome when the treatment path is forced to `target`.
 
-    Sums y_T * prod_t p_t(y_t | ...) over all outcome paths; the rule
-    kernels play no part, which is exactly what distinguishes this from the
+    The backward pass with payoff y_T and no rule factors: the rule kernels
+    play no part, which is exactly what distinguishes this from the
     associational quantity below.
     """
-    a_idx = _a_indices(dgp, target)
-    if len(a_idx) != dgp.horizon:
-        raise ValueError(f"target length {len(a_idx)} != horizon {dgp.horizon}")
-
-    def walk(t, y_idx, prob):
-        if t == dgp.horizon:
-            return prob * dgp.outcome_values[y_idx[-1]]
-        row = dgp.outcome_row(t + 1, a_idx[: t + 1], y_idx)
-        return sum(
-            walk(t + 1, y_idx + (y,), prob * p) for y, p in enumerate(row) if p > 0.0
-        )
-
-    return walk(0, (dgp.initial_outcome_index,), 1.0)
+    P, _ = _pinned(dgp, _path(dgp, 0, (), target))
+    return float(_backward(P, None, dgp.outcome_values)[0][dgp.initial_outcome_index])
 
 
 def associational_exact(dgp: FiniteDgp, target: Sequence[int]) -> float:
@@ -378,48 +486,6 @@ def associational_exact(dgp: FiniteDgp, target: Sequence[int]) -> float:
 # Propensity machinery
 # ---------------------------------------------------------------------------
 
-def _continuation(dgp, t, future_idx, a_idx, y_idx) -> float:
-    """P(a_{t+1}..a_T = future | treatments a_idx, outcomes y_idx through y_t)."""
-    if t == dgp.horizon:
-        return 1.0
-    a_next = future_idx[0]
-    p_a = dgp.rule_row(t, a_idx, y_idx)[a_next]
-    if p_a == 0.0:
-        return 0.0
-    row = dgp.outcome_row(t + 1, a_idx + (a_next,), y_idx)
-    total = 0.0
-    for y, p_y in enumerate(row):
-        if p_y > 0.0:
-            total += p_y * _continuation(dgp, t + 1, future_idx[1:], a_idx + (a_next,), y_idx + (y,))
-    return p_a * total
-
-
-def _lag1(dgp, t, future_idx, a_idx, y_prev_idx) -> float:
-    """Like _continuation but with y_t not yet observed: marginalize it out."""
-    row = dgp.outcome_row(t, a_idx, y_prev_idx)
-    total = 0.0
-    for y, p_y in enumerate(row):
-        if p_y > 0.0:
-            total += p_y * _continuation(dgp, t, future_idx, a_idx, y_prev_idx + (y,))
-    return total
-
-
-def _history_weight(dgp, a_idx, y_idx) -> float:
-    """Joint probability of treatments a_1..a_t and outcomes y_0..y_{t-1} or y_t.
-
-    Accepts len(y_idx) == len(a_idx) (history stops after a_t) or
-    len(y_idx) == len(a_idx) + 1 (history includes y_t).
-    """
-    prob = 1.0 if y_idx[0] == dgp.initial_outcome_index else 0.0
-    for s, a in enumerate(a_idx):
-        if prob == 0.0:
-            return 0.0
-        prob *= dgp.rule_row(s, a_idx[:s], y_idx[: s + 1])[a]
-        if s + 1 < len(y_idx):
-            prob *= dgp.outcome_row(s + 1, a_idx[: s + 1], y_idx[: s + 1])[y_idx[s + 1]]
-    return prob
-
-
 def prospective_propensity(
     dgp: FiniteDgp,
     t: int,
@@ -431,37 +497,50 @@ def prospective_propensity(
     """Probability the rule will produce `future` (a_{t+1}..a_T) from here.
 
     lag=0 conditions on outcomes y_0..y_t; lag=1 conditions on y_0..y_{t-1}
-    only, marginalizing y_t.  The conditioning history must itself be
-    reachable (positive probability), otherwise the conditional does not
-    exist and UndefinedConditionalError is raised.
+    only, marginalizing y_t, and needs t >= 1.  The conditioning history
+    must itself be reachable (positive probability), otherwise the
+    conditional does not exist and UndefinedConditionalError is raised.
     """
-    if lag not in (0, 1):
-        raise ValueError(f"lag must be 0 or 1, got {lag!r}")
-    if not 0 <= t <= dgp.horizon:
-        raise ValueError(f"t must be in 0..{dgp.horizon}, got {t}")
-    a_idx = _a_indices(dgp, treatments)
+    if lag not in (0, 1) or t < lag:
+        raise ValueError(f"lag must be 0 or 1 and at most t, got lag {lag!r} at t={t}")
+    path = _path(dgp, t, treatments, future)
     y_idx = _y_indices(dgp, outcomes)
-    future_idx = _a_indices(dgp, future)
-    if len(a_idx) != t:
-        raise ValueError(f"expected {t} past treatments, got {len(a_idx)}")
-    if len(future_idx) != dgp.horizon - t:
-        raise ValueError(
-            f"expected future of length {dgp.horizon - t}, got {len(future_idx)}"
-        )
     expected_y = t + 1 if lag == 0 else t
     if len(y_idx) != expected_y:
         raise UndefinedConditionalError(
             f"lag-{lag} history at t={t} needs {expected_y} outcomes (y_0 first), "
             f"got {len(y_idx)}"
         )
-    if _history_weight(dgp, a_idx, y_idx) == 0.0:
+    P, R = _pinned(dgp, path)
+    if not _forward(P, R, dgp.initial_outcome_index)[t][y_idx].any():
         raise UndefinedConditionalError(
             f"conditioning event a={tuple(treatments)} y={tuple(outcomes)} has "
             f"probability zero"
         )
-    if lag == 0:
-        return _continuation(dgp, t, future_idx, a_idx, y_idx)
-    return _lag1(dgp, t, future_idx, a_idx, y_idx)
+    propensity = _backward(P, R, 1.0, stop=t)[t][y_idx]
+    if lag == 1:
+        propensity = (P[t][y_idx] * propensity).sum(axis=-1)
+    return float(propensity)
+
+
+def _step_ratios(dgp, t, future, treatments, outcomes):
+    """p_t(y_t | history) and s_t(y_t) for every y_t, as two lists.
+
+    `outcomes` is the history y_0..y_{t-1}.  Raises UndefinedRatioError
+    where the lag-1 propensity is zero.
+    """
+    P, R = _pinned(dgp, _path(dgp, t, treatments, future))
+    y_prev_idx = _y_indices(dgp, outcomes)
+    if t < 1 or len(y_prev_idx) != t:
+        raise ValueError(f"expected {t} >= 1 outcomes y_0..y_{{t-1}}, got {len(y_prev_idx)}")
+    row = P[t][y_prev_idx]
+    lag0 = _backward(P, R, 1.0, stop=t)[t][y_prev_idx]
+    denom = (row * lag0).sum(axis=-1)
+    if denom == 0.0:
+        raise UndefinedRatioError(
+            f"lag-1 propensity is zero at t={t}, history y={tuple(outcomes)}"
+        )
+    return row.tolist(), (lag0 / denom).tolist()
 
 
 def adaptive_ratio(
@@ -477,16 +556,8 @@ def adaptive_ratio(
     Ratio of the lag-0 to the lag-1 prospective propensity; `outcomes` is
     the history y_0..y_{t-1}, with y_t passed separately.
     """
-    a_idx = _a_indices(dgp, treatments)
-    y_prev_idx = _y_indices(dgp, outcomes)
-    future_idx = _a_indices(dgp, future)
-    y_idx = dgp.outcome_index(y_t)
-    denom = _lag1(dgp, t, future_idx, a_idx, y_prev_idx)
-    if denom == 0.0:
-        raise UndefinedRatioError(
-            f"lag-1 propensity is zero at t={t}, history y={tuple(outcomes)}"
-        )
-    return _continuation(dgp, t, future_idx, a_idx, y_prev_idx + (y_idx,)) / denom
+    _, ratios = _step_ratios(dgp, t, future, treatments, outcomes)
+    return ratios[dgp.outcome_index(y_t)]
 
 
 @dataclass(frozen=True)
@@ -504,6 +575,24 @@ class AdaptationPartition:
         return bool(self.upweighted or self.downweighted)
 
 
+def _partition(values, row, ratios) -> AdaptationPartition:
+    """Split the supported outcomes of `row` by their ratio in `ratios`."""
+    up, neutral, down = set(), set(), set()
+    by_value = {}
+    for y, p_y in enumerate(row):
+        if p_y == 0.0:
+            continue
+        value = values[y]
+        s = by_value[value] = ratios[y]
+        if abs(s - 1.0) <= _NEUTRAL_TOL:
+            neutral.add(value)
+        elif s > 1.0:
+            up.add(value)
+        else:
+            down.add(value)
+    return AdaptationPartition(frozenset(up), frozenset(neutral), frozenset(down), by_value)
+
+
 def classify_adaptations(
     dgp: FiniteDgp,
     t: int,
@@ -512,24 +601,8 @@ def classify_adaptations(
     outcomes: Sequence[float],
 ) -> AdaptationPartition:
     """Partition supported y_t values into s>1 / s=1 / s<1 classes."""
-    a_idx = _a_indices(dgp, treatments)
-    y_prev_idx = _y_indices(dgp, outcomes)
-    row = dgp.outcome_row(t, a_idx, y_prev_idx)
-    up, neutral, down = set(), set(), set()
-    ratios = {}
-    for y, p_y in enumerate(row):
-        if p_y == 0.0:
-            continue
-        value = dgp.outcome_values[y]
-        s = adaptive_ratio(dgp, t, future, treatments, outcomes, value)
-        ratios[value] = s
-        if abs(s - 1.0) <= _NEUTRAL_TOL:
-            neutral.add(value)
-        elif s > 1.0:
-            up.add(value)
-        else:
-            down.add(value)
-    return AdaptationPartition(frozenset(up), frozenset(neutral), frozenset(down), ratios)
+    row, ratios = _step_ratios(dgp, t, future, treatments, outcomes)
+    return _partition(dgp.outcome_values, row, ratios)
 
 
 def moving_marginal_expectation(
@@ -545,24 +618,11 @@ def moving_marginal_expectation(
     Marginalizes outcomes at times t+1..T using the outcome kernels with
     a_{t+1}..a_T pinned to `future`; the decision rule is irrelevant here.
     """
-    a_idx = _a_indices(dgp, treatments)
-    future_idx = _a_indices(dgp, future)
+    P, _ = _pinned(dgp, _path(dgp, t, treatments, future))
     y_idx = _y_indices(dgp, outcomes) + (dgp.outcome_index(y_t),)
-    if len(a_idx) != t or len(y_idx) != t + 1:
-        raise ValueError(f"history lengths inconsistent with t={t}")
-    if len(future_idx) != dgp.horizon - t:
-        raise ValueError(
-            f"expected future of length {dgp.horizon - t}, got {len(future_idx)}"
-        )
-    all_a = a_idx + future_idx
-
-    def walk(s, y_hist):
-        if s == dgp.horizon:
-            return dgp.outcome_values[y_hist[-1]]
-        row = dgp.outcome_row(s + 1, all_a[: s + 1], y_hist)
-        return sum(p * walk(s + 1, y_hist + (y,)) for y, p in enumerate(row) if p > 0.0)
-
-    return walk(t, y_idx)
+    if len(y_idx) != t + 1:
+        raise ValueError(f"expected {t} outcomes y_0..y_{{t-1}}, got {len(y_idx) - 1}")
+    return float(_backward(P, None, dgp.outcome_values, stop=t)[t][y_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -606,31 +666,6 @@ class OpportunisticReport:
     witness_margin: float
 
 
-def _reachable_prefixes(dgp, target_idx, t):
-    """Outcome histories y_0..y_{t-1} jointly reachable with a_1..a_t = target.
-
-    Yields (y_idx tuple, joint probability > 0).
-    """
-    def walk(s, y_idx, prob):
-        # y_idx holds y_0..y_s; stop once it is the full prefix y_0..y_{t-1}.
-        if s == t - 1:
-            yield y_idx, prob
-            return
-        p_a = dgp.rule_row(s, target_idx[:s], y_idx)[target_idx[s]]
-        if p_a == 0.0:
-            return
-        row = dgp.outcome_row(s + 1, target_idx[: s + 1], y_idx)
-        for y, p_y in enumerate(row):
-            if p_y > 0.0:
-                yield from walk(s + 1, y_idx + (y,), prob * p_a * p_y)
-
-    # The prefix ends just before a_t is chosen; append that rule factor.
-    for y_idx, prob in walk(0, (dgp.initial_outcome_index,), 1.0):
-        p_last = dgp.rule_row(t - 1, target_idx[: t - 1], y_idx)[target_idx[t - 1]]
-        if p_last > 0.0:
-            yield y_idx, prob * p_last
-
-
 def check_opportunistic(dgp: FiniteDgp, target: Sequence[int]) -> OpportunisticReport:
     """Test whether the rule's adaptations always favor the target path.
 
@@ -646,29 +681,42 @@ def check_opportunistic(dgp: FiniteDgp, target: Sequence[int]) -> OpportunisticR
 
     Histories where the target path can no longer occur are skipped and
     counted.  A time with no non-neutral history anywhere fails (ii) and is
-    reported as not opportunistic; it also cannot contribute bias.
+    reported as not opportunistic; it also cannot contribute bias.  Every
+    value is read from the reach, lag-0 propensity and f_{T,t} passes.
     """
-    target_idx = _a_indices(dgp, target)
-    if len(target_idx) != dgp.horizon:
-        raise ValueError(f"target length {len(target_idx)} != horizon {dgp.horizon}")
     target_vals = tuple(int(a) for a in target)
+    values = dgp.outcome_values
+    n_y = len(values)
+    P, R = _pinned(dgp, _path(dgp, 0, (), target))
+    reach = _forward(P, R, dgp.initial_outcome_index)
+    lag0 = _backward(P, R, 1.0)
+    expected = _backward(P, None, values)
 
     per_time = []
     for t in range(1, dgp.horizon):
-        future = target_vals[t:]
-        past = target_vals[:t]
+        # Reachable histories y_0..y_{t-1}, in C order, which is the order of
+        # a depth-first walk over increasing outcome indices.
+        reach_t = reach[t - 1] * R[t - 1]  # y_0..y_{t-1} jointly with a_1..a_t
+        weights = reach_t.reshape(-1)
+        kept = np.flatnonzero(weights)
+        rows = P[t].reshape(-1, n_y)[kept]
+        lag0_rows = lag0[t].reshape(-1, n_y)[kept]
+        histories = zip(
+            np.stack(np.unravel_index(kept, reach_t.shape), axis=-1).tolist(),
+            weights[kept].tolist(),
+            rows.tolist(),
+            lag0_rows.tolist(),
+            (rows * lag0_rows).sum(axis=-1).tolist(),
+            expected[t].reshape(-1, n_y)[kept].tolist(),
+        )
         checks = []
         skipped = 0
-        for y_idx, weight in _reachable_prefixes(dgp, target_idx, t):
-            y_vals = tuple(dgp.outcome_values[i] for i in y_idx)
-            if _lag1(dgp, t, target_idx[t:], target_idx[:t], y_idx) == 0.0:
+        for y_idx, weight, row, lag0_row, denom, f_row in histories:
+            if denom == 0.0:
                 skipped += 1
                 continue
-            partition = classify_adaptations(dgp, t, future, past, y_vals)
-            expectations = {
-                y: moving_marginal_expectation(dgp, t, y, future, past, y_vals)
-                for y in partition.ratios
-            }
+            partition = _partition(values, row, [p / denom for p in lag0_row])
+            expectations = {values[y]: f_row[y] for y, p in enumerate(row) if p != 0.0}
             non_neutral = partition.upweighted | partition.downweighted
             if partition.downweighted and partition.upweighted:
                 down_inf = min(expectations[y] for y in partition.downweighted)
@@ -681,14 +729,13 @@ def check_opportunistic(dgp: FiniteDgp, target: Sequence[int]) -> OpportunisticR
                 margin = max(abs(expectations[y] - pivot) for y in non_neutral)
             else:
                 margin = 0.0
-            row = dgp.outcome_row(t, target_idx[:t], y_idx)
             mass = sum(
                 row[dgp.outcome_index(y)] * abs(1.0 - partition.ratios[y])
                 for y in non_neutral
             )
             checks.append(
                 HistoryCheck(
-                    outcomes=y_vals,
+                    outcomes=tuple(values[i] for i in y_idx),
                     reach_probability=weight,
                     partition=partition,
                     expectations=expectations,
@@ -730,21 +777,16 @@ def check_monotone_process(dgp: FiniteDgp) -> bool:
     """True iff f_{T,t} is nondecreasing in y_t everywhere.
 
     Quantifies over every t = 1..T-1, every treatment history and future
-    specification, and every outcome history row in the (total) tables.
+    specification, and every outcome history row in the (total) tables:
+    one backward pass per full treatment path covers all of them.
     Horizons below 2 have no intermediate time, so they pass vacuously.
     """
-    n_y = range(len(dgp.outcome_values))
-    for t in range(1, dgp.horizon):
-        for a_hist in itertools.product(dgp.treatment_values, repeat=t):
-            for future in itertools.product(dgp.treatment_values, repeat=dgp.horizon - t):
-                for y_hist_idx in itertools.product(n_y, repeat=t):
-                    y_hist = tuple(dgp.outcome_values[i] for i in y_hist_idx)
-                    previous = None
-                    for y in dgp.outcome_values:
-                        f = moving_marginal_expectation(dgp, t, y, future, a_hist, y_hist)
-                        if previous is not None and f < previous - _NEUTRAL_TOL:
-                            return False
-                        previous = f
+    for path in itertools.product(range(len(dgp.treatment_values)), repeat=dgp.horizon):
+        P, _ = _pinned(dgp, path)
+        expected = _backward(P, None, dgp.outcome_values, stop=1)
+        for f in expected[1:-1]:
+            if (f[..., 1:] < f[..., :-1] - _NEUTRAL_TOL).any():
+                return False
     return True
 
 
@@ -795,64 +837,38 @@ def audit_zero_mean(dgp: FiniteDgp) -> float:
     disagreement between the ratio code paths.
     """
     worst = 0.0
-    n_y = range(len(dgp.outcome_values))
-    for t in range(1, dgp.horizon):
-        for a_hist in itertools.product(range(len(dgp.treatment_values)), repeat=t):
-            for y_hist in itertools.product(n_y, repeat=t):
-                row = dgp.outcome_row(t, a_hist, y_hist)
-                for future in itertools.product(
-                    range(len(dgp.treatment_values)), repeat=dgp.horizon - t
-                ):
-                    denom = _lag1(dgp, t, future, a_hist, y_hist)
-                    if denom == 0.0:
-                        continue
-                    total = 0.0
-                    for y, p_y in enumerate(row):
-                        if p_y == 0.0:
-                            continue
-                        s = _continuation(dgp, t, future, a_hist, y_hist + (y,)) / denom
-                        total += (s - 1.0) * p_y
-                    worst = max(worst, abs(total))
+    for path in itertools.product(range(len(dgp.treatment_values)), repeat=dgp.horizon):
+        P, R = _pinned(dgp, path)
+        lag0 = _backward(P, R, 1.0, stop=1)
+        for t in range(1, dgp.horizon):
+            lag1 = (P[t] * lag0[t]).sum(axis=-1)
+            live = lag1 != 0.0
+            ratios = lag0[t][live] / lag1[live][:, None]
+            residual = ((ratios - 1.0) * P[t][live]).sum(axis=-1)
+            worst = max(worst, float(np.abs(residual).max(initial=0.0)))
     return worst
 
 
 def associational_via_ratios(dgp: FiniteDgp, target: Sequence[int]) -> float:
     """The associational mean rebuilt from ratio-weighted outcome kernels.
 
-    Walks outcome paths only, weighting each step by s_t * p_t; agreement
-    with `associational_exact` (which conditions the enumerated joint)
-    validates the ratio decomposition.
+    Weights each outcome step by s_t * p_t along the target, with s_t from
+    the backward pass; agreement with `associational_exact` (which
+    conditions the enumerated joint) validates the ratio decomposition.
     """
-    target_idx = _a_indices(dgp, target)
-    if len(target_idx) != dgp.horizon:
-        raise ValueError(f"target length {len(target_idx)} != horizon {dgp.horizon}")
-
-    start = _continuation(dgp, 0, target_idx, (), (dgp.initial_outcome_index,))
-    if start == 0.0:
+    P, R = _pinned(dgp, _path(dgp, 0, (), target))
+    lag0 = _backward(P, R, 1.0)
+    init = dgp.initial_outcome_index
+    if lag0[0][init] == 0.0:
         raise UndefinedConditionalError(
             f"treatment path {tuple(target)} has probability zero under the rule"
         )
-
-    def walk(t, y_idx, weight):
-        if t == dgp.horizon:
-            return weight * dgp.outcome_values[y_idx[-1]]
-        row = dgp.outcome_row(t + 1, target_idx[: t + 1], y_idx)
-        denom = _lag1(dgp, t + 1, target_idx[t + 1 :], target_idx[: t + 1], y_idx)
-        if denom == 0.0:
-            return 0.0
-        total = 0.0
-        for y, p_y in enumerate(row):
-            if p_y == 0.0:
-                continue
-            s = (
-                _continuation(dgp, t + 1, target_idx[t + 1 :], target_idx[: t + 1], y_idx + (y,))
-                / denom
-            )
-            if s > 0.0:
-                total += walk(t + 1, y_idx + (y,), weight * s * p_y)
-        return total
-
-    return walk(0, (dgp.initial_outcome_index,), 1.0)
+    weight = np.eye(len(dgp.outcome_values))[init]
+    for t in range(1, dgp.horizon + 1):
+        lag1 = (P[t] * lag0[t]).sum(axis=-1)[..., None]
+        ratios = np.divide(lag0[t], lag1, out=np.zeros(P[t].shape), where=lag1 != 0.0)
+        weight = weight[..., None] * ratios * P[t]
+    return float((weight * np.asarray(dgp.outcome_values)).sum())
 
 
 def audit_decomposition(dgp: FiniteDgp) -> float:
@@ -879,34 +895,20 @@ def audit_bayes_consistency(dgp: FiniteDgp) -> float:
     """
     worst = 0.0
     paths = enumerate_paths(dgp)
-    targets = sorted({p.treatments for p in paths})
-    for target in targets:
-        target_idx = _a_indices(dgp, target)
-        matching = [p for p in paths if p.treatments == target]
-        for t in range(1, dgp.horizon):
-            denom_lag1 = {}
-            prefix_mass = {}
-            joint_mass = {}
-            for p in matching:
-                prefix = tuple(p.outcomes[:t])
-                prefix_mass[prefix] = prefix_mass.get(prefix, 0.0) + p.probability
-                step = tuple(p.outcomes[: t + 1])
-                joint_mass[step] = joint_mass.get(step, 0.0) + p.probability
-            for step, mass in joint_mass.items():
-                prefix = step[:-1]
-                conditional = mass / prefix_mass[prefix]
-                y_idx = _y_indices(dgp, prefix)
-                row = dgp.outcome_row(t, target_idx[:t], y_idx)
-                p_y = row[dgp.outcome_index(step[-1])]
-                denom = denom_lag1.setdefault(
-                    prefix, _lag1(dgp, t, target_idx[t:], target_idx[:t], y_idx)
-                )
-                if denom == 0.0:
-                    continue
-                s = _continuation(
-                    dgp, t, target_idx[t:], target_idx[:t], y_idx + (dgp.outcome_index(step[-1]),)
-                ) / denom
-                worst = max(worst, abs(conditional - s * p_y))
+    for target in sorted({p.treatments for p in paths}):
+        P, R = _pinned(dgp, _a_indices(dgp, target))
+        lag0 = _backward(P, R, 1.0, stop=1)
+        mass = np.zeros(P[-1].shape)  # of y_0..y_T jointly with the target path
+        for p in paths:
+            if p.treatments == target:
+                mass[_y_indices(dgp, p.outcomes)] += p.probability
+        for t in range(dgp.horizon - 1, 0, -1):
+            mass = mass.sum(axis=-1)
+            lag1 = (P[t] * lag0[t]).sum(axis=-1)[..., None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gap = mass / mass.sum(axis=-1, keepdims=True) - lag0[t] / lag1 * P[t]
+            seen = (mass > 0.0) & (lag1 != 0.0)
+            worst = max(worst, float(np.abs(gap[seen]).max(initial=0.0)))
     return worst
 
 
@@ -1003,7 +1005,7 @@ def _random_row(rng: np.random.Generator, width: int, zero_fraction: float):
             row = row / total
         else:
             row = np.full(width, 1.0 / width)
-    return tuple(float(p) for p in row)
+    return row
 
 
 def random_dgp(
@@ -1064,9 +1066,10 @@ def random_opportunistic_dgp(
     probability of continuing the never-treat path strictly decreases in
     the current outcome, so observing a worse outcome always makes the
     target path less likely.  Each candidate is still verified, not
-    trusted: it is accepted only if the target is reachable, some time has
-    a nonconstant ratio, every such time passes the opportunism test, and
-    the verified margin is at least `margin_min` (so the predicted strict
+    trusted: it is accepted only if some time has a nonconstant ratio
+    (which needs a reachable target), every such time passes the
+    opportunism test, and the verified margin is at least `margin_min` (so
+    the predicted strict
     inequality is not resting on a degenerate zero-width witness).
     """
     for _ in range(max_tries):
@@ -1084,8 +1087,6 @@ def random_opportunistic_dgp(
 
         dgp = FiniteDgp.from_functions(T, values, (0, 1), 0, outcome_fn, rule_fn)
         target = (0,) * T
-        if _continuation(dgp, 0, (0,) * T, (), (0,)) == 0.0:
-            continue
         report = check_opportunistic(dgp, target)
         if not report.has_nonconstant:
             continue
@@ -1124,8 +1125,6 @@ def random_monotone_threshold_dgp(
 
         dgp = FiniteDgp.from_functions(T, values, (0, 1), 0, outcome_fn, rule_fn)
         target = (0,) * T
-        if _continuation(dgp, 0, target, (), (0,)) == 0.0:
-            continue
         report = check_opportunistic(dgp, target)
         if not report.has_nonconstant:
             continue

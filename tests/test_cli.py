@@ -5,10 +5,11 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from epibias.cli import fmt, main
-from epibias.finite import coin_epidemic
+from epibias.finite import coin_epidemic, random_opportunistic_dgp
 
 
 def read_csv(path):
@@ -147,6 +148,53 @@ class TestFigures34:
         assert digests == self.GOLDEN[conditioning]
 
 
+def rename_key(table, t, old, new):
+    def mutate(data):
+        data[table][t][new] = data[table][t].pop(old)
+    return mutate
+
+
+def set_row(table, t, key, row):
+    def mutate(data):
+        data[table][t][key] = row
+    return mutate
+
+
+# Edits of a coin-epidemic instance JSON, each of which breaks it, with a
+# phrase the error message must contain.
+MUTATIONS = {
+    "outcome key out of range":
+        (rename_key("outcome_kernels", "1", "a=0;y=0", "a=0;y=9"), "'a=0;y=9'"),
+    "rule key negative":
+        (rename_key("rule_kernels", "1", "a=0;y=0,1", "a=0;y=0,-1"), "'a=0;y=0,-1'"),
+    "treatment key out of range":
+        (rename_key("outcome_kernels", "1", "a=0;y=0", "a=2;y=0"), "'a=2;y=0'"),
+    "key too long": (rename_key("outcome_kernels", "1", "a=0;y=0", "a=0;y=0,0"), "'a=0;y=0,0'"),
+    "duplicate key": (rename_key("outcome_kernels", "1", "a=0;y=1", "a=0;y=00"), "'a=0;y=00'"),
+    "missing key":
+        (lambda data: data["outcome_kernels"]["2"].pop("a=1,1;y=0,2"), "expected 36 rows"),
+    "empty table": (lambda data: data["outcome_kernels"].update({"1": {}}), "got 0"),
+    "bad key separator": (rename_key("outcome_kernels", "1", "a=0;y=0", "a=0|y=0"), "'a=0|y=0'"),
+    "non-integral treatment":
+        (lambda data: data.update(treatment_values=[0.5, 1]), "must be an integer"),
+    "non-integral initial index":
+        (lambda data: data.update(initial_outcome_index=0.7), "must be an integer"),
+    "non-integral horizon": (lambda data: data.update(horizon=2.5), "must be an integer"),
+    "unreachable target": (
+        set_row("rule_kernels", "0", "a=;y=0", [0.0, 1.0]),
+        "treatment path (0, 0) has probability zero",
+    ),
+    "short row": (set_row("outcome_kernels", "1", "a=0;y=0", [0.5, 0.5]), "2 entries"),
+    "null row": (set_row("outcome_kernels", "1", "a=0;y=0", None), "malformed"),
+    "nan entry":
+        (set_row("outcome_kernels", "1", "a=0;y=0", [float("nan"), 0.5, 0.5]), "non-finite"),
+    "horizon 30": (lambda data: data.update(horizon=30), "path cap"),
+    "empty outcome alphabet": (lambda data: data.update(outcome_values=[]), "outside alphabet"),
+    "empty treatment alphabet": (lambda data: data.update(treatment_values=[]), "not empty"),
+    "kernels not a mapping": (lambda data: data.update(rule_kernels=[]), "malformed"),
+}
+
+
 class TestOracle:
     def test_builtin_instance(self, tmp_path, capsys):
         out = tmp_path / "orc"
@@ -195,6 +243,51 @@ class TestOracle:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"horizon": 1}))
         assert main(["oracle", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    # sha256 of oracle_report.csv, recorded before the kernel tables became
+    # arrays: the three built-ins, then the first two
+    # random_opportunistic_dgp(default_rng(42)) instances read back from JSON.
+    GOLDEN = {
+        "coin-epidemic": "cdde8bf72694c8f807722b203e7b9b18959275232b85f37a36650758d8af5a2c",
+        "reversed-coin-epidemic":
+            "c55a420c94102e5d460deef2ed5bb95352989e90ba1d8e23454d6fca950c1c51",
+        "exogenous-null": "9911721d941f4a9b5e0a7450ee247bb4a042c8854494d1a62240ecf816ce7465",
+    }
+    GOLDEN_GENERATED = (
+        "05812b98a8bf5d1a5151394d2247a1878a876886e0d13c91c58bdcd9cb8f23a1",
+        "9949b56974bacdfe79ed26b707bb06da7c218f3d9bf5c5daf71e6fc8bbb17c37",
+    )
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_bytes(self, tmp_path, capsys, name):
+        assert main(["oracle", name, "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "oracle_report.csv").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN[name]
+
+    def test_golden_bytes_generated_instances(self, tmp_path, capsys):
+        rng = np.random.default_rng(42)
+        for index, golden in enumerate(self.GOLDEN_GENERATED):
+            dgp, _ = random_opportunistic_dgp(rng)
+            payload = tmp_path / f"dgp{index}.json"
+            payload.write_text(json.dumps(dgp.to_dict()))
+            out = tmp_path / f"o{index}"
+            assert main(["oracle", str(payload), "--out", str(out)]) == 0
+            digest = hashlib.sha256((out / "oracle_report.csv").read_bytes()).hexdigest()
+            assert digest == golden
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_invalid_instance_exits_2(self, tmp_path, capsys, mutation):
+        mutate, phrase = MUTATIONS[mutation]
+        data = coin_epidemic().to_dict()
+        mutate(data)
+        payload = tmp_path / "dgp.json"
+        payload.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        # Returning at all means no exception escaped to the user.
+        assert main(["oracle", str(payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and phrase in err and "Traceback" not in err
+        assert not (out / "oracle_report.csv").exists()
 
 
 class TestFuzzTheorem:

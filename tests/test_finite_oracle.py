@@ -6,6 +6,8 @@ path with itertools and accumulate joint probabilities directly.  Any
 disagreement at 1e-12 is a bug on one side or the other.
 """
 
+import hashlib
+import json
 from itertools import product
 
 import numpy as np
@@ -18,9 +20,11 @@ from epibias.errors import (
     UndefinedRatioError,
 )
 from epibias.finite import (
+    BUILTIN_INSTANCES,
     FiniteDgp,
     adaptive_ratio,
     associational_exact,
+    check_opportunistic,
     classify_adaptations,
     coin_epidemic,
     enumerate_paths,
@@ -29,6 +33,7 @@ from epibias.finite import (
     moving_marginal_expectation,
     prospective_propensity,
     random_dgp,
+    random_opportunistic_dgp,
     reversed_coin_epidemic,
 )
 
@@ -295,6 +300,19 @@ class TestValidation:
         with pytest.raises(InstanceTooLargeError):
             uniform_dgp(horizon=13, n_y=2, n_a=2)  # 4^13 > 10^7
 
+    def test_treatment_values_not_truncated(self):
+        with pytest.raises(KernelValidationError):
+            FiniteDgp.from_functions(
+                1, (0.0, 1.0), (0.5, 1), 0,
+                lambda t, a, y: (0.5, 0.5),
+                lambda t, a, y: (0.5, 0.5),
+            )
+
+    def test_array_axes_bounded(self):
+        uniform_dgp(horizon=15, n_y=1, n_a=2)
+        with pytest.raises(InstanceTooLargeError):
+            uniform_dgp(horizon=16, n_y=1, n_a=2)  # 33 axes; numpy 1.x allows 32
+
     def test_missing_table_detected(self):
         dgp = coin_epidemic()
         broken = dict(dgp.outcome_kernels)
@@ -315,6 +333,58 @@ def test_dict_round_trip():
     clone = FiniteDgp.from_dict(dgp.to_dict())
     assert clone == dgp
     assert g_formula_exact(clone, (0, 0)) == g_formula_exact(dgp, (0, 0))
+
+
+def test_equality_compares_every_table():
+    assert coin_epidemic() == coin_epidemic()
+    assert coin_epidemic() != reversed_coin_epidemic()
+    assert coin_epidemic() != "coin-epidemic"
+
+
+def test_kernels_are_read_only_arrays_in_key_order():
+    dgp = coin_epidemic()
+    assert dgp.outcome_kernels[2].shape == (2, 2, 3, 3, 3)
+    assert dgp.rule_kernels[1].shape == (2, 3, 3, 2)
+    assert dgp.outcome_row(2, (0, 1), (0, 1)) == (0.0, 0.7, 0.3)
+    assert list(dgp.to_dict()["rule_kernels"]["1"])[:4] == [
+        "a=0;y=0,0", "a=0;y=0,1", "a=0;y=0,2", "a=0;y=1,0"
+    ]
+    with pytest.raises(ValueError):
+        dgp.outcome_kernels[1][0, 0, 0] = 1.0
+
+
+# sha256 of json.dumps(to_dict()), recorded before the kernel tables became
+# arrays: it pins the row functions' call order (and so the RNG draws), the
+# row order and the JSON key order.
+GOLDEN_JSON = {
+    "coin-epidemic": "35d1702e642f498bf71a69114986179d232b43651efd0e80fffc31638a9e09fb",
+    "reversed-coin-epidemic": "3eba399c9d56090a0b94c6f9693269d11bbc3b90b041431eba4979be2a389838",
+    "exogenous-null": "46f6785b5f9c446ffc541aaefc6d0b4ed18414cf1e3dedef00187860a8b6a0cb",
+}
+# The first 20 random_opportunistic_dgp(default_rng(42)) instances, joined by newlines.
+GOLDEN_JSON_SEED_42 = "66d1c0f15dafb8a0a85cc09838c65550d558ff940d7c6ef68d100d8ff95923cf"
+
+
+def sha256_text(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+def test_builtin_json_golden(name):
+    assert sha256_text(json.dumps(BUILTIN_INSTANCES[name]().to_dict())) == GOLDEN_JSON[name]
+
+
+def test_generated_json_golden():
+    rng = np.random.default_rng(42)
+    dumps = [json.dumps(random_opportunistic_dgp(rng)[0].to_dict()) for _ in range(20)]
+    assert sha256_text("\n".join(dumps)) == GOLDEN_JSON_SEED_42
+
+
+def test_from_dict_reorders_rows_by_key():
+    data = coin_epidemic().to_dict()
+    table = data["rule_kernels"]["1"]
+    data["rule_kernels"]["1"] = dict(reversed(list(table.items())))
+    assert FiniteDgp.from_dict(data) == coin_epidemic()
 
 
 def test_reversed_instance_flips_the_bias_sign():
@@ -346,6 +416,45 @@ def test_random_instances_match_brute_force():
             assert associational_exact(dgp, target) == pytest.approx(
                 brute_force_assoc(dgp, target), abs=1e-12
             )
+
+
+def brute_force_f(dgp, target_idx, ys):
+    """f_{T,t} at outcome indices ys = y_0..y_t, treatments forced to target_idx."""
+    T, t = dgp.horizon, len(ys) - 1
+    total = 0.0
+    for tail in product(range(len(dgp.outcome_values)), repeat=T - t):
+        full = ys + tail
+        prob = 1.0
+        for s in range(t, T):
+            prob *= dgp.outcome_row(s + 1, target_idx[: s + 1], full[: s + 1])[full[s + 1]]
+        total += prob * dgp.outcome_values[full[-1]]
+    return total
+
+
+def test_opportunism_report_matches_brute_force():
+    # Reach probabilities (forward pass), ratios and f_{T,t} (backward passes)
+    # against joint-path enumeration.
+    rng = np.random.default_rng(606)
+    for _ in range(12):
+        dgp = random_dgp(rng)
+        target = tuple(int(a) for a in rng.integers(0, 2, dgp.horizon))
+        joint = list(brute_force_joint(dgp))
+        for tc in check_opportunistic(dgp, target).per_time:
+            t = tc.t
+            for hc in tc.histories:
+                ys = tuple(dgp.outcome_index(y) for y in hc.outcomes)
+                reach = sum(p for a, y, p in joint if a[:t] == target[:t] and y[:t] == ys)
+                assert hc.reach_probability == pytest.approx(reach, abs=1e-12)
+                future = sum(p for a, y, p in joint if a == target and y[:t] == ys)
+                for value, s in hc.partition.ratios.items():
+                    step = ys + (dgp.outcome_index(value),)
+                    mass = sum(p for a, y, p in joint if a == target and y[: t + 1] == step)
+                    assert s * dgp.outcome_row(t, target[:t], ys)[step[-1]] == pytest.approx(
+                        mass / future, abs=1e-12
+                    )
+                    assert hc.expectations[value] == pytest.approx(
+                        brute_force_f(dgp, target, step), abs=1e-12
+                    )
 
 
 def test_enumerated_paths_match_brute_force_probabilities():
