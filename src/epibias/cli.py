@@ -12,8 +12,9 @@ Subcommands:
 * `print-config` dump the effective configuration as reloadable INI
 
 Exit codes: 0 success, 1 property violations (fuzz), 2 configuration or
-validation errors (for `oracle` also a target path the instance's rule never
-follows), 3 empty conditioning at every threshold, 4 I/O errors.
+validation errors, including SIR arithmetic that overflows mid-run (for
+`oracle` also a target path the instance's rule never follows), 3 empty
+conditioning at every threshold, 4 I/O errors.
 """
 
 from __future__ import annotations
@@ -40,7 +41,13 @@ from .finite import (
     random_opportunistic_dgp,
     verify_theorem1,
 )
-from .montecarlo import CONDITIONING_MODES, estimate_associational, estimate_causal, simulate
+from .montecarlo import (
+    CONDITIONING_MODES,
+    associational_pass,
+    estimate_associational,
+    estimate_causal,
+    simulate,
+)
 from .policies import ForcedSequenceRule, ThresholdRule
 from .streams import derive_substream_seed, stream_keys
 
@@ -113,15 +120,17 @@ def run_figures34(args, config: ExperimentConfig) -> int:
     )
     print(f"causal mean Y_T = {fmt(causal.mean)} ({config.replicates} replicates)")
 
+    # One associational pass scores every threshold.  It runs under the
+    # largest, which the config puts last: an absorbing threshold rule leaves
+    # the all-zero path no earlier than any rule with a smaller threshold.
+    rules = [ThresholdRule(threshold) for threshold in config.thresholds]
+    arguments = (zeros, config.replicates, derive_substream_seed(config.seed, 1),
+                 config.threads, config.conditioning)
+    shared = associational_pass(params, rules, *arguments)
     associational = {}
-    for threshold in config.thresholds:
-        rule = ThresholdRule(threshold)
+    for threshold, rule in zip(config.thresholds, rules):
         try:
-            estimate = estimate_associational(
-                params, rule, zeros, config.replicates,
-                derive_substream_seed(config.seed, 1), config.threads,
-                config.conditioning,
-            )
+            estimate = estimate_associational(params, rule, *arguments, shared=shared)
         except EmptyConditioningError as exc:
             associational[threshold] = None
             print(f"threshold {threshold:g}: no retained trajectories "

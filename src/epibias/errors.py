@@ -44,3 +44,11 @@ class InstanceTooLargeError(ValueError):
 
 class ConfigError(ValueError):
     """Experiment configuration failed to parse or validate."""
+
+
+class SimulationOverflowError(ConfigError):
+    """The SIR arithmetic overflowed float64 mid-run.
+
+    SirParams bounds only the day-1 drifts, and beta * S * I grows with I,
+    so a large enough population overflows once its epidemic grows.
+    """

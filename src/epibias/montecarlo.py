@@ -19,6 +19,12 @@ compartments freeze, its later outcome columns stay 0, and it is not decided
 or drawn for again.  Every statistic is read from those days and the
 outcomes, bit-identical to simulating all replicates for all T days.
 
+A family of deterministic rules shares one associational pass
+(`associational_pass`): a rule still on the target has seen exactly the
+target's treatments, so a pass under the rule that diverges last gives every
+rule's divergence days and outcomes (the clone-censor argument for comparing
+dynamic regimes).  A single rule is a one-rule family.
+
 Determinism: replicates are processed in fixed-size chunks; each replicate's
 randomness comes from a counter-based stream keyed by (seed, replicate
 index); chunk partial sums use numpy's pairwise reduction over arrays whose
@@ -32,6 +38,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -142,36 +149,53 @@ def simulate(
         yield last, diverged, outcomes, s, i, r
 
 
-def _chunk_stats(
-    params: SirParams,
-    rule: PolicyRule,
-    target: np.ndarray | None,
-    master_seed: int,
-    lo: int,
-    hi: int,
-    per_time_conditioning: bool,
-    keep_samples: bool,
-):
-    """Simulate replicates [lo, hi) and reduce them to partial sums.
+def _divergence_days(rule: PolicyRule, target: np.ndarray, outcomes: np.ndarray, pass_days):
+    """Each lane's first-divergence day under `rule`, read from a pass's outcomes.
 
-    Every statistic comes from `simulate`'s divergence days and outcomes.  A
-    replicate retired on day d counts at times before d, and its outcome
-    columns from d on are 0, so per-time sums run over all rows.  The result
-    is a pure function of the arguments, whichever thread runs the chunk.
+    A lane still on the target after day t-1 has a_{t-1} = target[t-2] (0 on
+    day 1), and the pass gives its y_{t-1}, so `rule` decides day t from those
+    alone.  Columns from a lane's pass divergence day on are 0, not outcomes,
+    so `rule` must have diverged on every lane the pass retired, no later.
     """
-    n = hi - lo
-    T = params.horizon
-    keys = stream_keys(master_seed, np.arange(lo, hi, dtype=np.uint64))
-    for _, diverged, outcomes, *_ in simulate(params, rule, keys, target):
-        pass
+    n, T = outcomes.shape[0], outcomes.shape[1] - 1
+    days = np.zeros(n, dtype=np.int64)
+    lanes = np.arange(n)
+    for t in range(1, T + 1):
+        if not lanes.size:
+            break
+        last = np.full(lanes.size, target[t - 2] if t > 1 else 0, dtype=np.int8)
+        leaves = rule.decide_batch(t, last, outcomes[lanes, t - 1], None) != target[t - 1]
+        days[lanes[leaves]] = t
+        lanes = lanes[~leaves]
+    late = (pass_days > 0) & ((days == 0) | (days > pass_days))
+    if late.any():
+        raise ValueError(
+            f"{rule.name} is still on the target on {int(late.sum())} replicates "
+            f"the pass retired: the rule that runs the pass must diverge last"
+        )
+    return days
 
-    retained_mask = diverged == 0
+
+def _reduce(days, outcomes, per_time_conditioning: bool, keep_samples: bool, zeroed: bool):
+    """One rule's partial sums from its divergence days and a pass's outcomes.
+
+    A replicate diverging on day d counts at times before d.  Its columns from
+    d on enter per-time sums as +0.0: they already are when the pass retired
+    it on day d (`zeroed`), and are masked here otherwise, which gives the
+    bits of a pass that did.
+    """
+    n, T = outcomes.shape[0], outcomes.shape[1] - 1
+    retained_mask = days == 0
     retained = int(retained_mask.sum())
-    divergence_hist = np.bincount(diverged[~retained_mask], minlength=T + 1)
+    divergence_hist = np.bincount(days[~retained_mask], minlength=T + 1)
     # With no row retired the two modes coincide, and the sums read
     # `outcomes` in place instead of copying every row.
     if per_time_conditioning or retained == n:
-        per_t_sums = outcomes[:, 1:].sum(axis=0)
+        columns = outcomes[:, 1:]
+        if not zeroed and retained < n:
+            live_until = np.where(retained_mask, T + 1, days)
+            columns = np.where(np.arange(1, T + 1) < live_until[:, None], columns, 0.0)
+        per_t_sums = columns.sum(axis=0)
         per_t_counts = n - np.cumsum(divergence_hist[1:])
     else:
         per_t_sums = outcomes[retained_mask, 1:].sum(axis=0)
@@ -189,34 +213,76 @@ def _chunk_stats(
     }
 
 
+def _chunk_stats(
+    params: SirParams,
+    rules: Sequence[PolicyRule],
+    target: np.ndarray | None,
+    master_seed: int,
+    lo: int,
+    hi: int,
+    per_time_conditioning: bool,
+    keep_samples: bool,
+):
+    """Simulate replicates [lo, hi) once and reduce them to partial sums for
+    each rule, in the order of `rules`.
+
+    The day loop runs under the last rule, which must diverge last on every
+    replicate; the others' divergence days are read from its outcomes.  The
+    result is a pure function of the arguments, whichever thread runs the
+    chunk.
+    """
+    keys = stream_keys(master_seed, np.arange(lo, hi, dtype=np.uint64))
+    for _, diverged, outcomes, *_ in simulate(params, rules[-1], keys, target):
+        pass
+    stats = [
+        _reduce(_divergence_days(rule, target, outcomes, diverged), outcomes,
+                per_time_conditioning, keep_samples, zeroed=False)
+        for rule in rules[:-1]
+    ]
+    stats.append(_reduce(diverged, outcomes, per_time_conditioning, keep_samples, zeroed=True))
+    return stats
+
+
+def _check_arguments(params: SirParams, rules, target, replicates: int, conditioning: str):
+    """Reject what the engine cannot run; return the target as int8, or None."""
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if conditioning not in CONDITIONING_MODES:
+        raise ValueError(f"conditioning must be one of {CONDITIONING_MODES}, got {conditioning!r}")
+    if not rules:
+        raise ValueError("no rule to simulate")
+    if len(rules) > 1 and any(rule.uses_randomness for rule in rules):
+        # A random rule's decisions depend on its own policy draws, which a
+        # pass under another rule does not make.
+        raise ValueError("a random rule cannot share a pass with other rules")
+    if target is None:
+        return None
+    target_arr = np.asarray(list(target), dtype=np.int8)
+    if target_arr.shape != (params.horizon,):
+        raise ValueError(
+            f"target path length {target_arr.size} does not match horizon {params.horizon}"
+        )
+    return target_arr
+
+
 def _run_engine(
     params: SirParams,
-    rule: PolicyRule,
+    rules: Sequence[PolicyRule],
     target: Sequence[int] | None,
     replicates: int,
     master_seed: int,
     threads: int,
     conditioning: str,
     keep_samples: bool,
-) -> EstimateResult:
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if conditioning not in CONDITIONING_MODES:
-        raise ValueError(f"conditioning must be one of {CONDITIONING_MODES}, got {conditioning!r}")
-    target_arr = None
-    if target is not None:
-        target_arr = np.asarray(list(target), dtype=np.int8)
-        if target_arr.shape != (params.horizon,):
-            raise ValueError(
-                f"target path length {target_arr.size} does not match horizon {params.horizon}"
-            )
-
+) -> list[dict]:
+    """Every rule's sums over all chunks, folded in ascending chunk order."""
+    target_arr = _check_arguments(params, rules, target, replicates, conditioning)
     bounds = [(lo, min(lo + CHUNK_SIZE, replicates)) for lo in range(0, replicates, CHUNK_SIZE)]
     per_time = conditioning == "per-time"
 
     def work(span):
         lo, hi = span
-        return _chunk_stats(params, rule, target_arr, master_seed, lo, hi, per_time, keep_samples)
+        return _chunk_stats(params, rules, target_arr, master_seed, lo, hi, per_time, keep_samples)
 
     workers = min(threads, len(bounds), os.cpu_count() or 1)
     if workers > 1:
@@ -225,38 +291,45 @@ def _run_engine(
     else:
         chunk_results = [work(span) for span in bounds]
 
-    # Deterministic fold in ascending chunk order.
     T = params.horizon
-    per_t_sums = np.zeros(T)
-    per_t_counts = np.zeros(T, dtype=np.int64)
-    divergence = np.zeros(T + 1, dtype=np.int64)
-    final_sum = 0.0
-    final_sumsq = 0.0
-    retained = 0
-    sample_parts: list[np.ndarray] = []
-    for res in chunk_results:
-        per_t_sums += res["per_t_sums"]
-        per_t_counts += res["per_t_counts"]
-        divergence += res["divergence_hist"]
-        final_sum += res["final_sum"]
-        final_sumsq += res["final_sumsq"]
-        retained += res["retained"]
-        if keep_samples:
-            sample_parts.append(res["samples"])
+    totals = []
+    for k in range(len(rules)):
+        total = {
+            "per_t_sums": np.zeros(T),
+            "per_t_counts": np.zeros(T, dtype=np.int64),
+            "divergence_hist": np.zeros(T + 1, dtype=np.int64),
+            "final_sum": 0.0,
+            "final_sumsq": 0.0,
+            "retained": 0,
+        }
+        for res in chunk_results:
+            for field in total:
+                total[field] += res[k][field]
+        total["samples"] = (
+            np.concatenate([res[k]["samples"] for res in chunk_results]) if keep_samples else None
+        )
+        totals.append(total)
+    return totals
 
+
+def _estimate(total: dict, replicates: int) -> EstimateResult:
+    """The estimate from one rule's folded sums; raises EmptyConditioningError
+    when it retained nothing."""
+    retained = total["retained"]
     if retained == 0:
-        hist = {int(t): int(c) for t, c in enumerate(divergence) if c > 0}
+        hist = {int(t): int(c) for t, c in enumerate(total["divergence_hist"]) if c > 0}
         raise EmptyConditioningError(replicates, hist)
 
-    mean = final_sum / retained
+    mean = total["final_sum"] / retained
     if retained > 1:
-        var = max(final_sumsq - retained * mean * mean, 0.0) / (retained - 1)
+        var = max(total["final_sumsq"] - retained * mean * mean, 0.0) / (retained - 1)
         std_error = float(np.sqrt(var / retained))
     else:
         std_error = 0.0
 
+    per_t_counts = total["per_t_counts"]
     with np.errstate(invalid="ignore"):
-        per_time_means = np.where(per_t_counts > 0, per_t_sums / per_t_counts, np.nan)
+        per_time_means = np.where(per_t_counts > 0, total["per_t_sums"] / per_t_counts, np.nan)
 
     return EstimateResult(
         mean=mean,
@@ -264,7 +337,67 @@ def _run_engine(
         replicates_total=replicates,
         replicates_retained=retained,
         per_time_means=tuple(float(m) for m in per_time_means),
-        samples=np.concatenate(sample_parts) if keep_samples else None,
+        samples=total["samples"],
+    )
+
+
+@dataclass(frozen=True)
+class AssociationalPass:
+    """One associational day-loop pass shared by a family of rules.
+
+    Made by `associational_pass`.  `estimate_associational(..., shared=pass)`
+    reads one rule's estimate from it; the pass runs at the first such read.
+    """
+
+    params: SirParams
+    rules: tuple[PolicyRule, ...]
+    target: tuple[int, ...]
+    replicates: int
+    master_seed: int
+    threads: int
+    conditioning: str
+    keep_samples: bool
+
+    @cached_property
+    def totals(self) -> list[dict]:
+        return _run_engine(
+            self.params, self.rules, self.target, self.replicates, self.master_seed,
+            self.threads, self.conditioning, self.keep_samples,
+        )
+
+    def estimate(self, rule: PolicyRule) -> EstimateResult:
+        """`rule`'s estimate; raises EmptyConditioningError when it retained nothing."""
+        for k, member in enumerate(self.rules):
+            if member is rule:
+                return _estimate(self.totals[k], self.replicates)
+        raise ValueError(f"{rule.name} is not a rule of the shared pass")
+
+
+def associational_pass(
+    params: SirParams,
+    rules: Sequence[PolicyRule],
+    target: Sequence[int],
+    replicates: int,
+    master_seed: int,
+    threads: int = 1,
+    conditioning: str = "full-path",
+    keep_samples: bool = False,
+) -> AssociationalPass:
+    """One associational pass that scores every rule of a family.
+
+    The day loop runs under the last rule, and every other rule is scored
+    from its outcomes.  That is exact when the rules are deterministic and the
+    last one diverges from the target last on every replicate: a rule still
+    on the target has seen exactly the target's treatments, and so the same
+    outcomes.  For absorbing threshold rules and the all-zero target that is
+    the largest threshold.  Random rules cannot share a pass, and a rule
+    found on the target where the last one left it raises ValueError.
+    """
+    rules = tuple(rules)
+    _check_arguments(params, rules, target, replicates, conditioning)
+    return AssociationalPass(
+        params, rules, tuple(int(a) for a in target), replicates, master_seed, threads,
+        conditioning, keep_samples,
     )
 
 
@@ -282,9 +415,10 @@ def estimate_causal(
             f"sequence length {len(sequence)} does not match horizon {params.horizon}"
         )
     rule = ForcedSequenceRule(sequence)
-    return _run_engine(
-        params, rule, None, replicates, master_seed, threads, "full-path", keep_samples
+    total, = _run_engine(
+        params, (rule,), None, replicates, master_seed, threads, "full-path", keep_samples
     )
+    return _estimate(total, replicates)
 
 
 def estimate_associational(
@@ -296,6 +430,7 @@ def estimate_associational(
     threads: int = 1,
     conditioning: str = "full-path",
     keep_samples: bool = False,
+    shared: AssociationalPass | None = None,
 ) -> EstimateResult:
     """E[Y_t | realized treatments == target] under the endogenous rule.
 
@@ -305,11 +440,20 @@ def estimate_associational(
     t, a looser conditioning set some analyses prefer for mid-course curves;
     final-time quantities are identical in both modes.
 
+    With `shared`, a pass from `associational_pass` made with these same
+    arguments and holding `rule`, the estimate is read from that pass.
+
     Raises EmptyConditioningError when nothing matches.
     """
-    return _run_engine(
-        params, rule, target, replicates, master_seed, threads, conditioning, keep_samples
+    asked = associational_pass(
+        params, (rule,) if shared is None else shared.rules, target, replicates, master_seed,
+        threads, conditioning, keep_samples,
     )
+    if shared is None:
+        shared = asked
+    elif shared != asked:
+        raise ValueError("the shared pass was made with other arguments")
+    return shared.estimate(rule)
 
 
 def compute_bias_report(

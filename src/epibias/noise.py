@@ -9,7 +9,6 @@ across scenarios, which the reproducibility guarantees depend on.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 
 def truncated_normal_transform(mean, variance, lower, upper, u):
@@ -19,6 +18,10 @@ def truncated_normal_transform(mean, variance, lower, upper, u):
     clamp(mean, lower, upper) while still consuming their uniform, so every
     replicate's stream stays draw-aligned whatever its state.
     """
+    # Imported on first use: scipy.special is most of the package's import
+    # time, and the commands that draw no noise never need it.
+    from scipy.special import ndtr, ndtri
+
     mean = np.asarray(mean, dtype=np.float64)
     variance = np.asarray(variance, dtype=np.float64)
     lower = np.asarray(lower, dtype=np.float64)

@@ -43,6 +43,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import SimulationOverflowError
 from .noise import truncated_normal_transform
 
 # Replicates per Monte Carlo chunk (`montecarlo` re-exports it).  Part of the
@@ -129,21 +130,31 @@ def sir_step_arrays(s, i, r, params: SirParams, a, u1, u2):
 
     `u1`, `u2` are the step's pre-drawn uniforms for the infection and
     recovery noise respectively.  Returns the new (s, i, r) arrays.
+
+    Raises SimulationOverflowError when any of the arithmetic overflows
+    float64 instead of carrying inf and nan into later days.
     """
-    scale = np.exp(params.lam * np.asarray(a, dtype=np.float64))
-    new_inf = scale * params.beta * s * i / params.population
-    new_rec = params.gamma * i
+    try:
+        with np.errstate(over="raise"):
+            scale = np.exp(params.lam * np.asarray(a, dtype=np.float64))
+            new_inf = scale * params.beta * s * i / params.population
+            new_rec = params.gamma * i
 
-    eps1 = truncated_normal_transform(
-        0.0, params.overdispersion * new_inf, -new_inf, s - new_inf, u1
-    )
-    infected_pool = i + new_inf + eps1
-    eps2 = truncated_normal_transform(
-        0.0, params.overdispersion * new_rec, -new_rec, infected_pool - new_rec, u2
-    )
+            eps1 = truncated_normal_transform(
+                0.0, params.overdispersion * new_inf, -new_inf, s - new_inf, u1
+            )
+            infected_pool = i + new_inf + eps1
+            eps2 = truncated_normal_transform(
+                0.0, params.overdispersion * new_rec, -new_rec, infected_pool - new_rec, u2
+            )
 
-    s_next = np.maximum(s - new_inf - eps1, 0.0)
-    i_next = np.maximum(infected_pool - new_rec - eps2, 0.0)
-    r_next = r + new_rec + eps2
+            s_next = np.maximum(s - new_inf - eps1, 0.0)
+            i_next = np.maximum(infected_pool - new_rec - eps2, 0.0)
+            r_next = r + new_rec + eps2
+    except FloatingPointError as exc:
+        raise SimulationOverflowError(
+            f"the SIR step overflowed float64 ({exc}): an epidemic in a population "
+            f"of {params.population:g} outgrows float64 within {params.horizon} days"
+        ) from exc
     return s_next, i_next, r_next
 

@@ -1,0 +1,16 @@
+"""Shared test fixtures."""
+
+import os
+from pathlib import Path
+
+import pytest
+
+import epibias
+
+
+@pytest.fixture
+def package_env():
+    """Environment for a child interpreter that imports this checkout's epibias."""
+    src = str(Path(epibias.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)

@@ -362,6 +362,17 @@ class TestConfigHandling:
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_mid_run_overflow_exits_2(self, tmp_path, capsys):
+        # Day 1 is finite, but beta * S * I overflows once the epidemic grows
+        # (about day 2,500); the run stops there and writes nothing.
+        cfg = tmp_path / "big.ini"
+        cfg.write_text("[sir]\npopulation = 1e160\nhorizon = 4000\n")
+        code = main(["figure2", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "overflowed" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_flag_value_exits_2(self, capsys):
         assert main(["figures34", "--thresholds", "pancake"]) == 2
 

@@ -1,5 +1,7 @@
 """Monte Carlo estimator engine: determinism, conditioning, thread safety."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from epibias import montecarlo
 from epibias.errors import EmptyConditioningError
 from epibias.montecarlo import (
     CHUNK_SIZE,
+    EstimateResult,
+    associational_pass,
     compute_bias_report,
     estimate_associational,
     estimate_causal,
@@ -227,8 +231,8 @@ def test_retiring_lanes_matches_full_width_scoring(params, rule, target, per_tim
     # Lanes that leave the target path stop being simulated; every statistic
     # must still equal full-width simulation scored afterwards, bit for bit.
     lo, hi = 100, 2100
-    got = montecarlo._chunk_stats(
-        params, rule, np.asarray(target, dtype=np.int8), 5, lo, hi, per_time, True
+    got, = montecarlo._chunk_stats(
+        params, (rule,), np.asarray(target, dtype=np.int8), 5, lo, hi, per_time, True
     )
     want = score_full_width(params, rule, target, 5, lo, hi, per_time)
     assert 0 < got["retained"] < hi - lo
@@ -276,8 +280,8 @@ def test_retired_lanes_take_no_steps(monkeypatch, rule, target, all_leave_on_day
     monkeypatch.setattr(montecarlo, "counter_uniform_array", counted_draw)
     monkeypatch.setattr(rule, "decide_batch", counted_decide)
     n = 1500
-    res = montecarlo._chunk_stats(
-        params, rule, np.asarray(target, dtype=np.int8), 9, 0, n, False, False
+    res, = montecarlo._chunk_stats(
+        params, (rule,), np.asarray(target, dtype=np.int8), 9, 0, n, False, False
     )
     T = params.horizon
     hist = res["divergence_hist"]
@@ -313,6 +317,103 @@ def test_retired_lanes_freeze():
         prev = (last.copy(), s.copy(), i.copy(), r.copy())
         was_on = on
     assert 0 < was_on.sum() < n
+
+
+# Given in no order; 1e-7 lies below y_0, so its rule retains nothing.
+SHARED_THRESHOLDS = (0.01, 1e-7, 0.003, 0.03, 0.001)
+SHARED = SirParams(horizon=30)
+SHARED_ZEROS = (0,) * SHARED.horizon
+
+
+def shared_estimates(thresholds, replicates, seed, threads, conditioning):
+    """Every threshold's estimate read from one shared pass (None when empty)."""
+    rules = {thr: ThresholdRule(thr) for thr in thresholds}
+    shared = associational_pass(
+        SHARED, sorted(rules.values(), key=lambda rule: rule.threshold), SHARED_ZEROS,
+        replicates, seed, threads, conditioning, keep_samples=True,
+    )
+    out = {}
+    for thr, rule in rules.items():
+        try:
+            out[thr] = estimate_associational(
+                SHARED, rule, SHARED_ZEROS, replicates, seed, threads, conditioning,
+                keep_samples=True, shared=shared,
+            )
+        except EmptyConditioningError as exc:
+            out[thr] = exc.first_divergence
+    return out
+
+
+def assert_same_estimate(got, want):
+    for field in dataclasses.fields(EstimateResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "samples":
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        elif isinstance(a, tuple):
+            assert [x.hex() for x in a] == [x.hex() for x in b], field.name
+        elif isinstance(a, float):
+            assert a.hex() == b.hex(), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("conditioning", ["full-path", "per-time"])
+def test_shared_pass_matches_per_threshold_estimates(conditioning, threads):
+    # One pass under the widest threshold scores every threshold bit for bit
+    # as its own pass does, across a chunk boundary, in both modes.
+    replicates = CHUNK_SIZE + 300
+    got = shared_estimates(SHARED_THRESHOLDS, replicates, 7, threads, conditioning)
+    assert list(got) == list(SHARED_THRESHOLDS)
+    for thr, result in got.items():
+        try:
+            want = estimate_associational(
+                SHARED, ThresholdRule(thr), SHARED_ZEROS, replicates, 7, threads,
+                conditioning, keep_samples=True,
+            )
+        except EmptyConditioningError as exc:
+            assert thr == 1e-7 and result == exc.first_divergence == {1: replicates}
+            continue
+        assert 0 < want.replicates_retained < replicates
+        assert_same_estimate(result, want)
+
+
+def test_shared_pass_steps_like_the_widest_rule(monkeypatch):
+    # A shared pass makes one step call per day per chunk, on the lanes a
+    # pass under the widest rule alone steps.
+    lanes = []
+    step = montecarlo.sir_step_arrays
+
+    def counted(s, *args):
+        lanes.append(s.size)
+        return step(s, *args)
+
+    monkeypatch.setattr(montecarlo, "sir_step_arrays", counted)
+    replicates = CHUNK_SIZE + 300
+    shared_estimates(SHARED_THRESHOLDS, replicates, 7, 1, "full-path")
+    shared_lanes = lanes[:]
+    lanes.clear()
+    estimate_associational(SHARED, ThresholdRule(max(SHARED_THRESHOLDS)), SHARED_ZEROS,
+                           replicates, 7)
+    assert len(shared_lanes) == 2 * SHARED.horizon
+    assert shared_lanes == lanes
+
+
+def test_shared_pass_rejects_what_it_cannot_score():
+    wide, narrow = ThresholdRule(0.03), ThresholdRule(0.003)
+    args = (SHARED_ZEROS, 2000, 7)
+    # The pass runs under the last rule; here it retires lanes the first
+    # rule still follows.
+    misordered = associational_pass(SHARED, (wide, narrow), *args)
+    with pytest.raises(ValueError, match="diverge last"):
+        estimate_associational(SHARED, wide, *args, shared=misordered)
+    with pytest.raises(ValueError, match="random rule"):
+        associational_pass(SHARED, (ExogenousRule(0.5), wide), *args)
+    shared = associational_pass(SHARED, (narrow, wide), *args)
+    with pytest.raises(ValueError, match="other arguments"):
+        estimate_associational(SHARED, wide, SHARED_ZEROS, 2000, 8, shared=shared)
+    with pytest.raises(ValueError, match="not a rule"):
+        estimate_associational(SHARED, ThresholdRule(0.03), *args, shared=shared)
 
 
 def test_rejects_bad_arguments():

@@ -2,6 +2,8 @@
 
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import epibias
@@ -32,3 +34,21 @@ def test_readme_library_snippet_runs(capsys):
     assert bias == associational - causal
     # The snippet's last line documents its own output.
     assert exact == library_snippet().rstrip().rsplit("# ", 1)[1] == "-0.500000 True"
+
+
+def test_commands_that_draw_no_noise_leave_scipy_unimported(tmp_path, package_env):
+    # scipy.special is most of the package's import time; only noise draws
+    # load it.
+    code = (
+        "import contextlib, io, sys\n"
+        "from epibias import cli\n"
+        "seen = ['scipy.special' in sys.modules]\n"
+        "for argv in (['fuzz-theorem', '--count', '3'], ['oracle', 'coin-epidemic']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv + ['--out', sys.argv[1]]) == 0\n"
+        "    seen.append('scipy.special' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=package_env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["[False,", "False,", "False]"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epibias.errors import ConfigError, SimulationOverflowError
 from epibias.montecarlo import estimate_causal, simulate
 from epibias.noise import truncated_normal_transform
 from epibias.policies import ExogenousRule, ForcedSequenceRule
@@ -146,6 +147,17 @@ def test_param_validation():
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SirParams(**{name: value})
+
+
+def test_mid_run_overflow_raises():
+    # SirParams accepts the day-1 drifts; the step that overflows raises
+    # instead of carrying inf and nan forward.
+    params = SirParams(population=1e160, horizon=4000)
+    with pytest.raises(SimulationOverflowError, match="overflowed"):
+        estimate_causal(params, (0,) * params.horizon, 2, 42)
+    big = np.array([1e160])
+    with pytest.raises(ConfigError):
+        sir_step_arrays(big, big, np.zeros(1), params, 0, np.full(1, 0.5), np.full(1, 0.5))
 
 
 def test_trajectory_structure():
