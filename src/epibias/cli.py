@@ -28,7 +28,14 @@ import sys
 import numpy as np
 
 from .charts import LineSeries, render_line_chart
-from .config import ExperimentConfig, apply_overrides, dump_config, load_config, parse_thresholds
+from .config import (
+    SETTINGS,
+    ExperimentConfig,
+    apply_overrides,
+    dump_config,
+    load_config,
+    parse_setting,
+)
 from .errors import (
     ConfigError,
     EmptyConditioningError,
@@ -351,15 +358,15 @@ def run_print_config(args, config: ExperimentConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="PATH", help="INI configuration file")
-    shared.add_argument("--seed", type=int, metavar="U64", help="master random seed")
-    shared.add_argument("--replicates", type=int, metavar="N",
+    shared.add_argument("--seed", metavar="U64", help="master random seed")
+    shared.add_argument("--replicates", metavar="N",
                         help="Monte Carlo replicates per estimate")
     shared.add_argument("--thresholds", metavar="LIST",
                         help="comma-separated intervention thresholds, e.g. 0.05,0.1")
     shared.add_argument("--out", metavar="DIR", help="output directory")
     shared.add_argument("--conditioning", choices=CONDITIONING_MODES,
                         help="conditioning set for intermediate times")
-    shared.add_argument("--threads", type=int, metavar="N", help="worker threads")
+    shared.add_argument("--threads", metavar="N", help="worker threads")
 
     parser = argparse.ArgumentParser(
         prog="epibias",
@@ -401,19 +408,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config)
-        overrides = {}
-        if args.thresholds is not None:
-            overrides["thresholds"] = parse_thresholds(args.thresholds)
-        config = apply_overrides(
-            config,
-            seed=args.seed,
-            replicates=args.replicates,
-            out=args.out,
-            conditioning=args.conditioning,
-            threads=args.threads,
-            **overrides,
-        )
+        flags = {
+            key: parse_setting("experiment", key, text)
+            for key, text in vars(args).items()
+            if key in SETTINGS["experiment"] and text is not None
+        }
+        config = apply_overrides(load_config(args.config), **flags)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

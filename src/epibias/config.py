@@ -19,8 +19,10 @@ The file format is two flat sections, both optional, every key optional:
     conditioning = full-path
     threads = 1
 
-Unset keys fall back to the defaults above.  `dump_config` writes floats
-with repr so a dumped config reloads to exactly equal values.
+Unset keys fall back to the defaults above.  Values are literal: `%` is an
+ordinary character.  A command-line flag parses exactly like the
+[experiment] key of its name.  `dump_config` writes floats with repr so a
+dumped config reloads to exactly equal values.
 """
 
 from __future__ import annotations
@@ -36,18 +38,6 @@ from .sir import SirParams
 DEFAULT_THRESHOLDS = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 DEFAULT_REPLICATES = 100_000
 DEFAULT_SEED = 42
-
-_SIR_KEYS = {
-    "population": float,
-    "initial_infected": float,
-    "beta": float,
-    "gamma": float,
-    "lambda": float,
-    "overdispersion": float,
-    "horizon": int,
-}
-
-_EXPERIMENT_KEYS = ("thresholds", "replicates", "seed", "out", "conditioning", "threads")
 
 
 @dataclass(frozen=True)
@@ -71,6 +61,8 @@ class ExperimentConfig:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must fit in an unsigned 64-bit value, got {self.seed}")
+        if not self.out:
+            raise ConfigError("out must name a directory, got an empty value")
         if self.conditioning not in CONDITIONING_MODES:
             raise ConfigError(
                 f"conditioning must be one of {', '.join(CONDITIONING_MODES)}, "
@@ -91,19 +83,49 @@ def parse_thresholds(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad threshold list {text!r}: {exc}") from exc
 
 
-def _coerce(section: str, key: str, raw: str, kind):
+# INI section -> key -> (dataclass field, parser, formatter), in the order
+# `dump_config` writes them.  [sir] keys are SirParams fields, [experiment]
+# keys ExperimentConfig fields.
+SETTINGS = {
+    "sir": {
+        "population": ("population", float, repr),
+        "initial_infected": ("initial_infected", float, repr),
+        "beta": ("beta", float, repr),
+        "gamma": ("gamma", float, repr),
+        "lambda": ("lam", float, repr),
+        "overdispersion": ("overdispersion", float, repr),
+        "horizon": ("horizon", int, str),
+    },
+    "experiment": {
+        "thresholds": ("thresholds", parse_thresholds, lambda v: ",".join(map(repr, v))),
+        "replicates": ("replicates", int, str),
+        "seed": ("seed", int, str),
+        "out": ("out", str, str),
+        "conditioning": ("conditioning", str, str),
+        "threads": ("threads", int, str),
+    },
+}
+
+
+def parse_setting(section: str, key: str, text: str):
+    """Parse one INI value, or the command-line flag of the same name."""
     try:
-        return kind(raw)
+        return SETTINGS[section][key][1](text)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+        raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from exc
+
+
+def _ini() -> configparser.ConfigParser:
+    # No interpolation, so `%` is literal.  No default section, so a
+    # [DEFAULT] header is an unknown section, not keys read into no section.
+    return configparser.ConfigParser(interpolation=None, default_section="")
 
 
 def load_config(path: str | None = None) -> ExperimentConfig:
     """Read an INI file (or use pure defaults when path is None)."""
-    sir_kwargs = {}
-    exp_kwargs = {}
+    values = {section: {} for section in SETTINGS}
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = _ini()
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
@@ -113,82 +135,37 @@ def load_config(path: str | None = None) -> ExperimentConfig:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
         for section in parser.sections():
-            if section not in ("sir", "experiment"):
+            if section not in SETTINGS:
                 raise ConfigError(f"unknown config section [{section}]")
-
-        if parser.has_section("sir"):
-            for key, raw in parser.items("sir"):
-                if key not in _SIR_KEYS:
-                    raise ConfigError(f"unknown key [sir] {key}")
-                name = "lam" if key == "lambda" else key
-                sir_kwargs[name] = _coerce("sir", key, raw, _SIR_KEYS[key])
-
-        if parser.has_section("experiment"):
-            for key, raw in parser.items("experiment"):
-                if key not in _EXPERIMENT_KEYS:
-                    raise ConfigError(f"unknown key [experiment] {key}")
-                if key == "thresholds":
-                    exp_kwargs[key] = parse_thresholds(raw)
-                elif key in ("replicates", "seed", "threads"):
-                    exp_kwargs[key] = _coerce("experiment", key, raw, int)
-                elif key == "conditioning":
-                    exp_kwargs[key] = raw.strip()
-                else:
-                    exp_kwargs[key] = raw
+            for key, text in parser.items(section):
+                if key not in SETTINGS[section]:
+                    raise ConfigError(f"unknown key [{section}] {key}")
+                values[section][SETTINGS[section][key][0]] = parse_setting(section, key, text)
 
     try:
-        sir = SirParams(**sir_kwargs)
+        sir = SirParams(**values["sir"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(sir=sir, **exp_kwargs)
+    return ExperimentConfig(sir=sir, **values["experiment"])
 
 
-def apply_overrides(
-    config: ExperimentConfig,
-    seed: int | None = None,
-    replicates: int | None = None,
-    thresholds: tuple[float, ...] | None = None,
-    out: str | None = None,
-    conditioning: str | None = None,
-    threads: int | None = None,
-) -> ExperimentConfig:
-    """Layer command-line flag values over a loaded config."""
-    updates = {
-        key: value
-        for key, value in (
-            ("seed", seed),
-            ("replicates", replicates),
-            ("thresholds", thresholds),
-            ("out", out),
-            ("conditioning", conditioning),
-            ("threads", threads),
-        )
-        if value is not None
-    }
+def apply_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:
+    """Layer parsed command-line values, by field name, over a loaded config.
+
+    A value of None leaves that field unchanged.
+    """
+    updates = {name: value for name, value in overrides.items() if value is not None}
     return replace(config, **updates) if updates else config
 
 
 def dump_config(config: ExperimentConfig) -> str:
     """Render the effective configuration as reloadable INI text."""
-    parser = configparser.ConfigParser()
-    sir = config.sir
-    parser["sir"] = {
-        "population": repr(sir.population),
-        "initial_infected": repr(sir.initial_infected),
-        "beta": repr(sir.beta),
-        "gamma": repr(sir.gamma),
-        "lambda": repr(sir.lam),
-        "overdispersion": repr(sir.overdispersion),
-        "horizon": str(sir.horizon),
-    }
-    parser["experiment"] = {
-        "thresholds": ",".join(repr(v) for v in config.thresholds),
-        "replicates": str(config.replicates),
-        "seed": str(config.seed),
-        "out": config.out,
-        "conditioning": config.conditioning,
-        "threads": str(config.threads),
-    }
+    parser = _ini()
+    for section, keys in SETTINGS.items():
+        source = config.sir if section == "sir" else config
+        parser[section] = {
+            key: fmt(getattr(source, name)) for key, (name, _, fmt) in keys.items()
+        }
     buffer = io.StringIO()
     parser.write(buffer)
     return buffer.getvalue()

@@ -138,10 +138,6 @@ class FiniteDgp:
                 f"treatment value {value!r} not in alphabet {self.treatment_values}"
             )
 
-    @property
-    def initial_outcome_value(self) -> float:
-        return self.outcome_values[self.initial_outcome_index]
-
     # -- construction helpers -----------------------------------------------
 
     @classmethod
@@ -413,20 +409,13 @@ class PathWeight(NamedTuple):
     probability: float
 
 
-def enumerate_paths(dgp: FiniteDgp, max_paths: int = PATH_CAP) -> tuple[PathWeight, ...]:
+def enumerate_paths(dgp: FiniteDgp) -> tuple[PathWeight, ...]:
     """All positive-probability (treatment path, outcome path) pairs.
 
     Branches whose rule or outcome probability is exactly zero are dropped,
     so the result is the support of the joint law; probabilities sum to 1.
+    The path count is bounded by PATH_CAP at construction.
     """
-    n_y = len(dgp.outcome_values)
-    n_a = len(dgp.treatment_values)
-    if (n_y * n_a) ** dgp.horizon > max_paths:
-        raise InstanceTooLargeError(
-            f"({n_y} outcomes x {n_a} treatments)^{dgp.horizon} exceeds the "
-            f"{max_paths} path cap"
-        )
-
     paths = []
 
     def walk(t, a_idx, y_idx, prob):
@@ -996,9 +985,16 @@ BUILTIN_INSTANCES: dict[str, Callable[[], FiniteDgp]] = {
 # Random instance generators (for property tests and fuzzing)
 # ---------------------------------------------------------------------------
 
-def _random_row(rng: np.random.Generator, width: int, zero_fraction: float):
+# Candidates a rejection-sampling generator draws before it gives up.
+_MAX_TRIES = 500
+# Smallest witness margin an opportunistic instance is accepted with.
+_MIN_MARGIN = 0.05
+
+
+def _random_row(rng: np.random.Generator, width: int):
+    """A Dirichlet row with, a quarter of the time, one entry forced to zero."""
     row = rng.dirichlet(np.ones(width))
-    if width > 1 and rng.random() < zero_fraction:
+    if width > 1 and rng.random() < 0.25:
         row[rng.integers(width)] = 0.0
         total = row.sum()
         if total > 0.0:
@@ -1008,25 +1004,20 @@ def _random_row(rng: np.random.Generator, width: int, zero_fraction: float):
     return row
 
 
-def random_dgp(
-    rng: np.random.Generator,
-    horizon: int | None = None,
-    outcome_count: int | None = None,
-    zero_fraction: float = 0.25,
-) -> FiniteDgp:
+def random_dgp(rng: np.random.Generator) -> FiniteDgp:
     """An unstructured random instance: Dirichlet rows, occasional hard zeros.
 
     Used for identity audits, which must hold for any valid instance.
     """
-    T = int(horizon if horizon is not None else rng.integers(2, 4))
-    n_y = int(outcome_count if outcome_count is not None else rng.integers(2, 4))
+    T = int(rng.integers(2, 4))
+    n_y = int(rng.integers(2, 4))
     values = tuple(float(v) for v in np.cumsum(rng.uniform(0.2, 1.0, n_y)))
 
     def outcome_fn(t, a_idx, y_idx):
-        return _random_row(rng, n_y, zero_fraction)
+        return _random_row(rng, n_y)
 
     def rule_fn(t, a_idx, y_idx):
-        return _random_row(rng, 2, zero_fraction)
+        return _random_row(rng, 2)
 
     return FiniteDgp.from_functions(T, values, (0, 1), 0, outcome_fn, rule_fn)
 
@@ -1055,11 +1046,7 @@ def _monotone_outcome_fn(rng: np.random.Generator, horizon: int, n_y: int):
     return outcome_fn
 
 
-def random_opportunistic_dgp(
-    rng: np.random.Generator,
-    margin_min: float = 0.05,
-    max_tries: int = 500,
-) -> tuple[FiniteDgp, tuple[int, ...]]:
+def random_opportunistic_dgp(rng: np.random.Generator) -> tuple[FiniteDgp, tuple[int, ...]]:
     """Rejection-sample an instance whose rule passes check_opportunistic.
 
     Construction: monotone capped-increment outcomes plus a rule whose
@@ -1068,11 +1055,11 @@ def random_opportunistic_dgp(
     target path less likely.  Each candidate is still verified, not
     trusted: it is accepted only if some time has a nonconstant ratio
     (which needs a reachable target), every such time passes the
-    opportunism test, and the verified margin is at least `margin_min` (so
-    the predicted strict
-    inequality is not resting on a degenerate zero-width witness).
+    opportunism test, and the verified margin is at least _MIN_MARGIN (so the
+    predicted strict inequality is not resting on a degenerate zero-width
+    witness).
     """
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         T = int(rng.integers(2, 4))
         n_y = T + 2
         values = tuple(float(v) for v in np.cumsum(rng.uniform(0.2, 1.0, n_y)))
@@ -1092,15 +1079,14 @@ def random_opportunistic_dgp(
             continue
         if not report.opportunistic_everywhere:
             continue
-        if report.witness_margin < margin_min:
+        if report.witness_margin < _MIN_MARGIN:
             continue
         return dgp, target
-    raise RuntimeError(f"no opportunistic instance found in {max_tries} tries")
+    raise RuntimeError(f"no opportunistic instance found in {_MAX_TRIES} tries")
 
 
 def random_monotone_threshold_dgp(
     rng: np.random.Generator,
-    max_tries: int = 500,
 ) -> tuple[FiniteDgp, tuple[int, ...], float]:
     """A monotone outcome process governed by a deterministic threshold rule.
 
@@ -1110,7 +1096,7 @@ def random_monotone_threshold_dgp(
     actually has a nonconstant ratio, i.e. the threshold splits reachable
     outcomes.
     """
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         T = int(rng.integers(2, 4))
         n_y = T + 2
         values = tuple(float(v) for v in np.cumsum(rng.uniform(0.2, 1.0, n_y)))
@@ -1129,4 +1115,4 @@ def random_monotone_threshold_dgp(
         if not report.has_nonconstant:
             continue
         return dgp, target, threshold
-    raise RuntimeError(f"no threshold instance with adaptive times in {max_tries} tries")
+    raise RuntimeError(f"no threshold instance with adaptive times in {_MAX_TRIES} tries")

@@ -176,13 +176,12 @@ def _divergence_days(rule: PolicyRule, target: np.ndarray, outcomes: np.ndarray,
     return days
 
 
-def _reduce(days, outcomes, per_time_conditioning: bool, keep_samples: bool, zeroed: bool):
+def _reduce(days, outcomes, per_time_conditioning: bool, keep_samples: bool):
     """One rule's partial sums from its divergence days and a pass's outcomes.
 
     A replicate diverging on day d counts at times before d.  Its columns from
-    d on enter per-time sums as +0.0: they already are when the pass retired
-    it on day d (`zeroed`), and are masked here otherwise, which gives the
-    bits of a pass that did.
+    d on enter per-time sums as +0.0: masked here, which changes no bits for
+    the pass's own rule, whose retired rows already hold +0.0 from day d.
     """
     n, T = outcomes.shape[0], outcomes.shape[1] - 1
     retained_mask = days == 0
@@ -192,7 +191,7 @@ def _reduce(days, outcomes, per_time_conditioning: bool, keep_samples: bool, zer
     # `outcomes` in place instead of copying every row.
     if per_time_conditioning or retained == n:
         columns = outcomes[:, 1:]
-        if not zeroed and retained < n:
+        if retained < n:
             live_until = np.where(retained_mask, T + 1, days)
             columns = np.where(np.arange(1, T + 1) < live_until[:, None], columns, 0.0)
         per_t_sums = columns.sum(axis=0)
@@ -234,13 +233,8 @@ def _chunk_stats(
     keys = stream_keys(master_seed, np.arange(lo, hi, dtype=np.uint64))
     for _, diverged, outcomes, *_ in simulate(params, rules[-1], keys, target):
         pass
-    stats = [
-        _reduce(_divergence_days(rule, target, outcomes, diverged), outcomes,
-                per_time_conditioning, keep_samples, zeroed=False)
-        for rule in rules[:-1]
-    ]
-    stats.append(_reduce(diverged, outcomes, per_time_conditioning, keep_samples, zeroed=True))
-    return stats
+    days = [_divergence_days(rule, target, outcomes, diverged) for rule in rules[:-1]]
+    return [_reduce(d, outcomes, per_time_conditioning, keep_samples) for d in days + [diverged]]
 
 
 def _check_arguments(params: SirParams, rules, target, replicates: int, conditioning: str):
@@ -407,7 +401,6 @@ def estimate_causal(
     replicates: int,
     master_seed: int,
     threads: int = 1,
-    keep_samples: bool = False,
 ) -> EstimateResult:
     """E[Y_t] under do(sequence): simulate with treatments forced, keep everything."""
     if len(sequence) != params.horizon:
@@ -416,7 +409,7 @@ def estimate_causal(
         )
     rule = ForcedSequenceRule(sequence)
     total, = _run_engine(
-        params, (rule,), None, replicates, master_seed, threads, "full-path", keep_samples
+        params, (rule,), None, replicates, master_seed, threads, "full-path", keep_samples=False
     )
     return _estimate(total, replicates)
 
@@ -464,7 +457,6 @@ def compute_bias_report(
     master_seed: int,
     threads: int = 1,
     conditioning: str = "full-path",
-    keep_samples: bool = False,
 ) -> BiasReport:
     """Run both estimators on independent sub-seeds and compare them.
 
@@ -477,7 +469,6 @@ def compute_bias_report(
         replicates,
         derive_substream_seed(master_seed, 0),
         threads,
-        keep_samples,
     )
     associational = estimate_associational(
         params,
@@ -487,7 +478,6 @@ def compute_bias_report(
         derive_substream_seed(master_seed, 1),
         threads,
         conditioning,
-        keep_samples,
     )
     threshold = getattr(rule, "threshold", None)
     return BiasReport(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from epibias.cli import fmt, main
+from epibias.config import SETTINGS
 from epibias.finite import coin_epidemic, random_opportunistic_dgp
 
 
@@ -379,3 +380,85 @@ class TestConfigHandling:
     def test_unwritable_output_exits_4(self, capsys):
         assert main(["figure2", "--out", "/proc/definitely-not-writable"]) == 4
         assert "error" in capsys.readouterr().err.lower()
+
+
+# Strings a hand-written INI value or flag might hold: non-finite and extreme
+# floats, signed zero, configparser interpolation syntax, empty, hex, booleans.
+HOSTILE = ["nan", "inf", "-inf", "1e308", "1e400", "0", "-0", "5e-324", "%", "%%",
+           "%(seed)s", "", "0x10", "True"]
+
+
+def run_main(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr()
+
+
+class TestSettingsBoundary:
+    def test_percent_in_out_is_literal_and_round_trips(self, tmp_path, capsys):
+        cfg = tmp_path / "pct.ini"
+        cfg.write_text("[experiment]\nout = 100%dir\n")
+        code, captured = run_main(["print-config", "--config", str(cfg)], capsys)
+        assert code == 0 and "out = 100%dir\n" in captured.out
+        echo = tmp_path / "echo.ini"
+        echo.write_text(captured.out)
+        assert run_main(["print-config", "--config", str(echo)], capsys) == (code, captured)
+
+    def test_percent_in_out_flag(self, capsys):
+        code, captured = run_main(["print-config", "--out", "a%b"], capsys)
+        assert code == 0 and "out = a%b\n" in captured.out and captured.err == ""
+
+    @pytest.mark.parametrize("value", ["%", "%(seed)s"])
+    def test_percent_threshold_exits_2(self, tmp_path, capsys, value):
+        cfg = tmp_path / "pct.ini"
+        cfg.write_text(f"[experiment]\nthresholds = {value}\n")
+        code, captured = run_main(["print-config", "--config", str(cfg)], capsys)
+        assert code == 2 and captured.err.startswith("error:")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_default_section_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "default.ini"
+        cfg.write_text("[DEFAULT]\nseed = 5\n")
+        code, captured = run_main(["print-config", "--config", str(cfg)], capsys)
+        assert code == 2 and captured.err == "error: unknown config section [DEFAULT]\n"
+
+    @pytest.mark.parametrize("source", ["ini", "flag"])
+    def test_empty_out_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, source):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text("[experiment]\nout =\n")
+        argv = ["figure2", "--config", str(cfg)] if source == "ini" else ["figure2", "--out", ""]
+        code, captured = run_main(argv, capsys)
+        assert code == 2 and captured.err.startswith("error:") and "out" in captured.err
+        assert os.listdir(tmp_path) == ["empty.ini"]
+
+    @pytest.mark.parametrize("text", ["abc", "1.5", "0x10", ""])
+    @pytest.mark.parametrize("key", ["seed", "replicates", "threads"])
+    def test_flag_parses_like_its_ini_key(self, tmp_path, capsys, key, text):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[experiment]\n{key} = {text}\n")
+        from_file = run_main(["print-config", "--config", str(cfg)], capsys)
+        from_flag = run_main(["print-config", f"--{key}", text], capsys)
+        assert from_flag == from_file
+        code, captured = from_flag
+        assert code == 2 and captured.err.startswith("error:") and captured.out == ""
+
+    @pytest.mark.parametrize("value", HOSTILE)
+    @pytest.mark.parametrize("section,key", [(s, k) for s in SETTINGS for k in SETTINGS[s]])
+    def test_hostile_value_exits_with_a_documented_code(
+        self, tmp_path, monkeypatch, capsys, section, key, value
+    ):
+        # Each handler that reads the config runs in-process; an exception
+        # escaping `main` would fail the test before the assertions.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "hostile.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        for argv, codes in (
+            (["print-config"], {0, 2}),
+            (["figure2"], {0, 2}),
+            (["figures34", "--replicates", "20"], {0, 2, 3}),
+        ):
+            code, captured = run_main(argv + ["--config", str(cfg)], capsys)
+            assert code in codes, (argv, code, captured.err)
+            assert "Traceback" not in captured.err
+            if code:
+                assert captured.err.startswith("error:"), captured.err

@@ -4,9 +4,13 @@ import inspect
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
+import pytest
+
 import epibias
+from epibias import config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -52,3 +56,23 @@ def test_commands_that_draw_no_noise_leave_scipy_unimported(tmp_path, package_en
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=package_env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.split() == ["[False,", "False,", "False]"]
+
+
+def config_examples() -> dict[str, str]:
+    """README's INI block and the indented example in `config`'s docstring."""
+    readme = README.read_text(encoding="utf-8")
+    docstring = re.search(r"^    \[sir\]\n(?:(?:    .*)?\n)*", config.__doc__, re.M).group(0)
+    return {
+        "readme": re.search(r"```ini\n(.*?)```", readme, re.S).group(1),
+        "docstring": textwrap.dedent(docstring),
+    }
+
+
+@pytest.mark.parametrize("where", ["readme", "docstring"])
+def test_documented_config_is_the_default(tmp_path, where):
+    text = config_examples()[where]
+    keys = re.findall(r"^(\w+) =", text, re.M)
+    assert keys == [key for section in config.SETTINGS.values() for key in section]
+    path = tmp_path / "example.ini"
+    path.write_text(text, encoding="utf-8")
+    assert config.load_config(str(path)) == config.ExperimentConfig()
