@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--thresholds", metavar="LIST",
                         help="comma-separated intervention thresholds, e.g. 0.05,0.1")
     shared.add_argument("--out", metavar="DIR", help="output directory")
-    shared.add_argument("--conditioning", choices=CONDITIONING_MODES,
+    shared.add_argument("--conditioning", metavar="{%s}" % ",".join(CONDITIONING_MODES),
                         help="conditioning set for intermediate times")
     shared.add_argument("--threads", metavar="N", help="worker threads")
 

@@ -20,9 +20,10 @@ The file format is two flat sections, both optional, every key optional:
     threads = 1
 
 Unset keys fall back to the defaults above.  Values are literal: `%` is an
-ordinary character.  A command-line flag parses exactly like the
-[experiment] key of its name.  `dump_config` writes floats with repr so a
-dumped config reloads to exactly equal values.
+ordinary character.  Leading and trailing whitespace is stripped.  A
+command-line flag parses exactly like the [experiment] key of its name.
+`dump_config` writes floats with repr so a dumped config reloads to exactly
+equal values.
 """
 
 from __future__ import annotations
@@ -108,7 +109,13 @@ SETTINGS = {
 
 
 def parse_setting(section: str, key: str, text: str):
-    """Parse one INI value, or the command-line flag of the same name."""
+    """Parse one INI value, or the command-line flag of the same name.
+
+    Leading and trailing whitespace is stripped first, as configparser
+    strips INI values, so a flag and the INI line `print-config` writes for
+    it load the same value.
+    """
+    text = text.strip()
     try:
         return SETTINGS[section][key][1](text)
     except ValueError as exc:

@@ -133,8 +133,9 @@ def simulate(
                 diverged[lanes[leaves]] = t
                 live = lanes[~leaves]
                 a = a[~leaves]
-        u1 = counter_uniform_array(keys[live], counter)
-        u2 = counter_uniform_array(keys[live], counter + 1)
+        live_keys = keys[live]
+        u1 = counter_uniform_array(live_keys, counter)
+        u2 = counter_uniform_array(live_keys, counter + 1)
         counter += 2
         # One step call per day even with no live lane left: perfbench's
         # tracer counts the calls on a thread to find each chunk's last day.
@@ -152,21 +153,10 @@ def simulate(
 def _divergence_days(rule: PolicyRule, target: np.ndarray, outcomes: np.ndarray, pass_days):
     """Each lane's first-divergence day under `rule`, read from a pass's outcomes.
 
-    A lane still on the target after day t-1 has a_{t-1} = target[t-2] (0 on
-    day 1), and the pass gives its y_{t-1}, so `rule` decides day t from those
-    alone.  Columns from a lane's pass divergence day on are 0, not outcomes,
-    so `rule` must have diverged on every lane the pass retired, no later.
+    Columns from a lane's pass divergence day on are 0, not outcomes, so
+    `rule` must have diverged on every lane the pass retired, no later.
     """
-    n, T = outcomes.shape[0], outcomes.shape[1] - 1
-    days = np.zeros(n, dtype=np.int64)
-    lanes = np.arange(n)
-    for t in range(1, T + 1):
-        if not lanes.size:
-            break
-        last = np.full(lanes.size, target[t - 2] if t > 1 else 0, dtype=np.int8)
-        leaves = rule.decide_batch(t, last, outcomes[lanes, t - 1], None) != target[t - 1]
-        days[lanes[leaves]] = t
-        lanes = lanes[~leaves]
+    days = rule.divergence_days(target, outcomes)
     late = (pass_days > 0) & ((days == 0) | (days > pass_days))
     if late.any():
         raise ValueError(

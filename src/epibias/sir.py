@@ -136,21 +136,30 @@ def sir_step_arrays(s, i, r, params: SirParams, a, u1, u2):
     """
     try:
         with np.errstate(over="raise"):
-            scale = np.exp(params.lam * np.asarray(a, dtype=np.float64))
-            new_inf = scale * params.beta * s * i / params.population
+            # The arithmetic of the module docstring, in its order, with
+            # each result built in place in as few buffers as it allows.
+            new_inf = np.exp(params.lam * np.asarray(a, dtype=np.float64)) * params.beta * s
+            new_inf *= i
+            new_inf /= params.population
             new_rec = params.gamma * i
 
+            s_next = s - new_inf  # eps1's upper bound, then S'
             eps1 = truncated_normal_transform(
-                0.0, params.overdispersion * new_inf, -new_inf, s - new_inf, u1
+                0.0, params.overdispersion * new_inf, -new_inf, s_next, u1
             )
-            infected_pool = i + new_inf + eps1
+            i_next = i + new_inf  # the infected pool, then eps2's upper bound, then I'
+            i_next += eps1
+            i_next -= new_rec
             eps2 = truncated_normal_transform(
-                0.0, params.overdispersion * new_rec, -new_rec, infected_pool - new_rec, u2
+                0.0, params.overdispersion * new_rec, -new_rec, i_next, u2
             )
 
-            s_next = np.maximum(s - new_inf - eps1, 0.0)
-            i_next = np.maximum(infected_pool - new_rec - eps2, 0.0)
-            r_next = r + new_rec + eps2
+            s_next -= eps1
+            np.maximum(s_next, 0.0, out=s_next)
+            i_next -= eps2
+            np.maximum(i_next, 0.0, out=i_next)
+            r_next = r + new_rec
+            r_next += eps2
     except FloatingPointError as exc:
         raise SimulationOverflowError(
             f"the SIR step overflowed float64 ({exc}): an epidemic in a population "

@@ -41,8 +41,10 @@ def mix64(x: int) -> int:
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer; `z` must be uint64."""
-    z = z.copy()
+    """Vectorized splitmix64 finalizer; `z` must be uint64.
+
+    Works in place: `z` is overwritten with the result and returned.
+    """
     z ^= z >> _U64_30
     z *= _MUL1
     z ^= z >> _U64_27
@@ -51,38 +53,26 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _to_unit(z: int) -> float:
-    # Top 53 bits, centered on half-steps: output lies strictly inside (0, 1),
-    # so inverse-CDF transforms never see 0 or 1 exactly.
-    return ((z >> 11) + 0.5) * _2_POW_MINUS_53
-
-
 def _to_unit_array(z: np.ndarray) -> np.ndarray:
-    return ((z >> _U64_11).astype(np.float64) + 0.5) * _2_POW_MINUS_53
-
-
-def stream_key(master_seed: int, replicate_index: int) -> int:
-    """64-bit key of the stream for one replicate. Pure function."""
-    if replicate_index < 0:
-        raise ValueError(f"replicate_index must be >= 0, got {replicate_index}")
-    return mix64((master_seed + (replicate_index + 1) * _GOLDEN) & _MASK64)
+    # Top 53 bits, centered on half-steps: output lies strictly inside (0, 1),
+    # so inverse-CDF transforms never see 0 or 1 exactly.  Shifts `z` in place.
+    z >>= _U64_11
+    unit = np.add(z, 0.5)
+    unit *= _2_POW_MINUS_53
+    return unit
 
 
 def stream_keys(master_seed: int, replicate_indices: np.ndarray) -> np.ndarray:
-    """Vectorized `stream_key` over an array of replicate indices."""
+    """The 64-bit stream key of each replicate index, mix64 of
+    master_seed + (index + 1) * golden (mod 2**64).  Pure function."""
     idx = np.asarray(replicate_indices, dtype=np.uint64)
     seed = np.uint64(master_seed & _MASK64)
     golden = np.uint64(_GOLDEN)
     return mix64_array(seed + (idx + np.uint64(1)) * golden)
 
 
-def counter_uniform(key: int, counter: int) -> float:
-    """The `counter`-th uniform variate of the stream with the given key."""
-    return _to_unit(mix64((key + (counter + 1) * _GOLDEN) & _MASK64))
-
-
 def counter_uniform_array(keys: np.ndarray, counter: int) -> np.ndarray:
-    """One uniform per key, all at the same draw counter."""
+    """The `counter`-th uniform variate of each key's stream."""
     stride = np.uint64(((counter + 1) * _GOLDEN) & _MASK64)
     return _to_unit_array(mix64_array(keys + stride))
 

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes."""
 
+import configparser
 import csv
 import hashlib
 import json
@@ -7,9 +8,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from epibias.cli import fmt, main
-from epibias.config import SETTINGS
+from epibias.config import SETTINGS, ExperimentConfig, dump_config
 from epibias.finite import coin_epidemic, random_opportunistic_dgp
 
 
@@ -462,3 +464,59 @@ class TestSettingsBoundary:
             assert "Traceback" not in captured.err
             if code:
                 assert captured.err.startswith("error:"), captured.err
+
+
+def default_texts():
+    """(section, key) -> the value text `print-config` writes by default."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(dump_config(ExperimentConfig()))
+    return {(s, k): parser[s][k] for s in SETTINGS for k in SETTINGS[s]}
+
+
+DEFAULT_TEXTS = default_texts()
+
+
+class TestWhitespace:
+    def test_padded_out_flag_round_trips(self, tmp_path, capsys):
+        # The INI line print-config writes reloads to the value the flag gave.
+        code, captured = run_main(["print-config", "--out", " lead "], capsys)
+        assert code == 0 and "out = lead\n" in captured.out
+        echo = tmp_path / "echo.ini"
+        echo.write_text(captured.out)
+        assert run_main(["print-config", "--config", str(echo)], capsys) == (code, captured)
+
+    @pytest.mark.parametrize("section,key", [(s, k) for s in SETTINGS for k in SETTINGS[s]])
+    @settings(derandomize=True, max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        core=st.sampled_from(["default", "lead", "per-time", "0.1,0.2", "7"] + HOSTILE),
+        before=st.text(" \t", max_size=3),
+        after=st.text(" \t", max_size=3),
+        flag_space=st.sampled_from(["", "\n", "\r", "\x0b", "\x0c", "\u00a0", "\u2003"]),
+    )
+    def test_padded_value_reloads_to_the_same_config(
+        self, tmp_path, capsys, section, key, core, before, after, flag_space
+    ):
+        # A padded value, in the INI file or as a flag, loads as the bare
+        # value does, and the INI text print-config writes for it reloads to
+        # the same config; or it exits 2 with an error line.
+        core = DEFAULT_TEXTS[section, key] if core == "default" else core
+        cfg = tmp_path / "padded.ini"
+        runs = []
+        for text in (core, before + core + after):
+            cfg.write_text(f"[{section}]\n{key} = {text}\n")
+            runs.append(run_main(["print-config", "--config", str(cfg)], capsys))
+        if section == "experiment":
+            padded = flag_space + before + core + after + flag_space
+            for text in (core, padded):
+                # `--key=value`, since argparse takes a separate "-inf" for a flag.
+                runs.append(run_main(["print-config", f"--{key}={text}"], capsys))
+        code, captured = runs[0]
+        assert all(run == runs[0] for run in runs), runs
+        assert code in (0, 2) and "Traceback" not in captured.err
+        if code:
+            assert captured.err.startswith("error:") and captured.out == ""
+            return
+        echo = tmp_path / "echo.ini"
+        echo.write_text(captured.out)
+        assert run_main(["print-config", "--config", str(echo)], capsys) == runs[0]

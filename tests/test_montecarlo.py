@@ -416,6 +416,17 @@ def test_shared_pass_rejects_what_it_cannot_score():
         estimate_associational(SHARED, ThresholdRule(0.03), *args, shared=shared)
 
 
+def test_divergence_days_reject_a_rule_still_on_the_target():
+    # The pass (threshold 0.1) retired lane 0 on day 2 and zeroed its later
+    # columns; a rule that has not left by then cannot be read from it.
+    outcomes = np.array([[0.0, 0.2, 0.0], [0.0, 0.01, 0.02]])
+    target, pass_days = np.zeros(2, dtype=np.int8), np.array([2, 0])
+    days = montecarlo._divergence_days(ThresholdRule(0.05), target, outcomes, pass_days)
+    np.testing.assert_array_equal(days, [2, 0])
+    with pytest.raises(ValueError, match="diverge last"):
+        montecarlo._divergence_days(ThresholdRule(0.3), target, outcomes, pass_days)
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         estimate_causal(SMALL, ZEROS, 0, 1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epibias.errors import SequenceExhaustedError
-from epibias.policies import ExogenousRule, ForcedSequenceRule, ThresholdRule
+from epibias.policies import ExogenousRule, ForcedSequenceRule, PolicyRule, ThresholdRule
 from epibias.streams import counter_uniform_array, stream_keys
 
 
@@ -119,3 +119,66 @@ class TestExogenousRule:
 def test_threshold_rule_never_triggers_below(threshold, y, t):
     # Not yet started, the rule treats exactly when y exceeds the threshold.
     assert decide_one(ThresholdRule(threshold), t, 0, y) == (1 if y > threshold else 0)
+
+
+FIGURES34_THRESHOLDS = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
+
+
+def divergence_days_per_lane(rule, target, outcomes):
+    """First day t whose decision leaves `target`, one lane at a time, with
+    the rule fed its own previous decision; 0 for a lane that never leaves."""
+    days = []
+    for row in outcomes:
+        day, last = 0, 0
+        for t in range(1, len(target) + 1):
+            last = decide_one(rule, t, last, row[t - 1])
+            if last != target[t - 1]:
+                day = t
+                break
+        days.append(day)
+    return np.array(days)
+
+
+def pass_outcomes(seed, n=300, T=12):
+    """Outcome rows like a pass's: nondecreasing shares, some entries exactly
+    at a figures34 threshold (a tie must not trigger), and every column from
+    a lane's pass divergence day on zeroed."""
+    rng = np.random.default_rng(seed)
+    outcomes = np.sort(rng.uniform(0, 0.36, size=(n, T + 1)), axis=1)
+    ties = rng.random(outcomes.shape) < 0.15
+    outcomes[ties] = rng.choice(FIGURES34_THRESHOLDS, size=ties.sum())
+    pass_day = rng.integers(0, T + 1, size=n)  # 0: retained
+    columns = np.arange(T + 1)
+    outcomes[(pass_day[:, None] > 0) & (columns >= pass_day[:, None])] = 0.0
+    return outcomes
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("threshold", FIGURES34_THRESHOLDS)
+def test_threshold_divergence_days_match_the_day_loop(seed, threshold):
+    # On the all-zero target ThresholdRule reads every lane's first crossing
+    # at once; it must equal both the rule-generic day loop and a per-lane
+    # walk, ties and zeroed tails included.
+    outcomes = pass_outcomes(seed)
+    rule = ThresholdRule(threshold)
+    target = np.zeros(outcomes.shape[1] - 1, dtype=np.int8)
+    days = rule.divergence_days(target, outcomes)
+    assert days.dtype == np.int64
+    np.testing.assert_array_equal(days, PolicyRule.divergence_days(rule, target, outcomes))
+    np.testing.assert_array_equal(days, divergence_days_per_lane(rule, target, outcomes))
+    assert 0 < (days == 0).sum() < days.size
+
+
+@pytest.mark.parametrize(
+    "rule, target",
+    [
+        pytest.param(ThresholdRule(0.15), (0,) * 5 + (1,) * 7, id="threshold-nonzero-target"),
+        pytest.param(ForcedSequenceRule((0, 0, 1) * 4), (0,) * 6 + (1,) * 6, id="forced"),
+    ],
+)
+def test_other_divergence_days_use_the_day_loop(rule, target):
+    outcomes = pass_outcomes(7)
+    target = np.array(target, dtype=np.int8)
+    days = rule.divergence_days(target, outcomes)
+    np.testing.assert_array_equal(days, divergence_days_per_lane(rule, target, outcomes))
+    assert days.any()

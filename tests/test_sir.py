@@ -11,7 +11,8 @@ from epibias.montecarlo import estimate_causal, simulate
 from epibias.noise import truncated_normal_transform
 from epibias.policies import ExogenousRule, ForcedSequenceRule
 from epibias.sir import MAX_HORIZON, SirParams, sir_step_arrays
-from epibias.streams import counter_uniform, counter_uniform_array, stream_key, stream_keys
+from epibias.streams import counter_uniform_array, stream_keys
+from reference import counter_uniform, stream_key
 
 
 def zero_noise_params(**overrides) -> SirParams:
