@@ -403,9 +403,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Rewrite `--key -x` as `--key=-x` for a setting flag, unless `-x` is (a
+    prefix of) an option of this program.
+
+    argparse takes a separate value that starts with `-` and is not a number
+    for an option, and stops with a usage message where the setting's own
+    parser would print its `error:` line.
+    """
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = (parser, *sub.choices.values())
+    known = {o for p in parsers for a in p._actions for o in a.option_strings}
+    flags = {f"--{key}" for key in SETTINGS["experiment"]}
+
+    def options(prefix):  # argparse reads an unambiguous prefix as its option
+        return {o for o in known if o.startswith(prefix)}
+
+    out, i = list(argv), 0
+    while i + 1 < len(out) and out[i] != "--":
+        token, value = out[i], out[i + 1]
+        match = options(token) if token.startswith("--") and "=" not in token else set()
+        is_flag = token in flags or (len(match) == 1 and match <= flags)
+        if is_flag and value.startswith("-") and not options(value.split("=", 1)[0]):
+            out[i : i + 2] = [f"{token}={value}"]
+        i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(parser, sys.argv[1:] if argv is None else argv))
 
     try:
         flags = {

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -66,7 +66,8 @@ class FiniteDgp:
     y_0..y_t]`, t = 0..horizon-1, that of a_{t+1}.  Their shapes are
     (n_a,)*t + (n_y,)*t + (n_y,) and (n_a,)*t + (n_y,)*(t+1) + (n_a,), so
     in C order the rows follow `itertools.product` over the history.
-    Validation makes the arrays read-only.
+    Validation makes the arrays read-only, so `check_opportunistic` keeps
+    its report per target path in `_reports` and computes it once.
     """
 
     horizon: int
@@ -75,6 +76,7 @@ class FiniteDgp:
     initial_outcome_index: int
     outcome_kernels: dict[int, np.ndarray]
     rule_kernels: dict[int, np.ndarray]
+    _reports: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_header(
@@ -94,6 +96,11 @@ class FiniteDgp:
                 f"{kind} kernel t={t}: expected a float64 array of shape {shape}, "
                 f"got {np.shape(table)}"
             )
+        # Whole-array tests first; the row searches below only name a bad row.
+        if np.isfinite(table).all() and (table >= 0.0).all():
+            if (np.abs(table.sum(axis=-1) - 1.0) <= _ROW_SUM_TOL).all():
+                table.flags.writeable = False
+                return
         checks = (
             ("non-finite entry in", lambda: ~np.isfinite(table).all(axis=-1)),
             ("does not sum to 1:", lambda: np.abs(table.sum(axis=-1) - 1.0) > _ROW_SUM_TOL),
@@ -107,7 +114,6 @@ class FiniteDgp:
                     f"{kind} kernel t={t} row a={index[:t]} y={index[t:]}: "
                     f"{problem} {table[index].tolist()!r}"
                 )
-        table.flags.writeable = False
 
     def __eq__(self, other):
         if not isinstance(other, FiniteDgp):
@@ -147,21 +153,21 @@ class FiniteDgp:
         outcome_values: Sequence[float],
         treatment_values: Sequence[int],
         initial_outcome_index: int,
-        outcome_fn: Callable[[int, tuple[int, ...], tuple[int, ...]], Sequence[float]],
-        rule_fn: Callable[[int, tuple[int, ...], tuple[int, ...]], Sequence[float]],
+        outcome_fn: Callable[[int, tuple, tuple], Sequence[float]] | dict[int, np.ndarray],
+        rule_fn: Callable[[int, tuple, tuple], Sequence[float]] | dict[int, np.ndarray],
     ) -> "FiniteDgp":
-        """Build total kernel tables by evaluating row functions on every key."""
+        """Kernel tables from row functions, called per key, or dicts t -> table (copied)."""
         outcome_values = tuple(float(v) for v in outcome_values)
         treatment_values = tuple(_integer(v, "treatment value") for v in treatment_values)
         # Refuse oversized instances before materializing any table; the
         # tables themselves can dwarf the path count the validator checks.
         _check_header(horizon, outcome_values, treatment_values, initial_outcome_index)
-        row_fns = {"outcome": outcome_fn, "rule": rule_fn}
+        sources = {"outcome": outcome_fn, "rule": rule_fn}
         tables = {"outcome": {}, "rule": {}}
         for kind, t, shape, width in _kernel_specs(
             horizon, len(treatment_values), len(outcome_values)
         ):
-            tables[kind][t] = _tabulate(kind, row_fns[kind], t, shape, width)
+            tables[kind][t] = _tabulate(kind, sources[kind], t, shape, width)
         return cls(
             horizon=horizon,
             outcome_values=outcome_values,
@@ -175,7 +181,7 @@ class FiniteDgp:
         """Same outcome process, different decision rule."""
         return FiniteDgp.from_functions(
             self.horizon, self.outcome_values, self.treatment_values, self.initial_outcome_index,
-            lambda t, a, y: self.outcome_kernels[t][a + y], rule_fn,
+            self.outcome_kernels, rule_fn,
         )
 
     # -- serialization ------------------------------------------------------
@@ -267,22 +273,27 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _tabulate(kind, row_fn, t, shape, width) -> np.ndarray:
-    """row_fn(t, a_idx, y_idx) on every history of `shape`, in key order, as one array."""
-    rows = [
-        row_fn(t, a, y)
-        for a in itertools.product(*map(range, shape[:t]))
-        for y in itertools.product(*map(range, shape[t:]))
-    ]
+def _tabulate(kind, source, t, shape, width) -> np.ndarray:
+    """A fresh C-order table from a row function, called per key, or a dict of tables."""
+    if callable(source):
+        keys = itertools.product(*map(range, shape))  # a_1..a_t, then the outcomes
+        rows = [source(t, key[:t], key[t:]) for key in keys]
+        lead = (len(rows),)
+    else:
+        rows, lead = source.get(t), shape
+        if rows is None:
+            raise KernelValidationError(f"{kind} kernel missing for t={t}")
     try:
-        table = np.array(rows, dtype=float)
+        table = np.array(rows, dtype=float, order="C")
     except (TypeError, ValueError) as exc:
         raise KernelValidationError(f"{kind} kernel t={t}: rows are not numeric: {exc}") from exc
-    if table.shape != (len(rows), width):
+    # A table whose history axes are wrong fails FiniteDgp's shape check.
+    if table.shape[:len(lead)] == lead and table.shape[len(lead):] != (width,):
         raise KernelValidationError(
-            f"{kind} kernel t={t}: rows of shape {table.shape[1:]} for a {width}-letter alphabet"
+            f"{kind} kernel t={t}: rows of shape {table.shape[len(lead):]} "
+            f"for a {width}-letter alphabet"
         )
-    return table.reshape(shape + (width,))
+    return table if lead == shape else table.reshape(shape + (width,))
 
 
 def _place_rows(kind, t, shape, width, serialized) -> dict:
@@ -416,29 +427,31 @@ def enumerate_paths(dgp: FiniteDgp) -> tuple[PathWeight, ...]:
     so the result is the support of the joint law; probabilities sum to 1.
     The path count is bounded by PATH_CAP at construction.
     """
+    a_vals, y_vals = dgp.treatment_values, dgp.outcome_values
+    n_a, n_y = len(a_vals), len(y_vals)
+    # A history's row is its flat C-order index.  Depth first, as indices increase; an
+    # entry holds a_1..a_t and y_0..y_t both as flat indices and as values.
+    rules = {t: k.reshape(-1, n_a).tolist() for t, k in dgp.rule_kernels.items()}
+    outcomes = {t: k.reshape(-1, n_y).tolist() for t, k in dgp.outcome_kernels.items()}
     paths = []
-
-    def walk(t, a_idx, y_idx, prob):
+    stack = [(0, 0, dgp.initial_outcome_index, (), (y_vals[dgp.initial_outcome_index],), 1.0)]
+    while stack:
+        t, a_flat, y_flat, treatments, observed, prob = stack.pop()
         if t == dgp.horizon:
-            paths.append(
-                PathWeight(
-                    tuple(dgp.treatment_values[i] for i in a_idx),
-                    tuple(dgp.outcome_values[i] for i in y_idx),
-                    prob,
-                )
-            )
-            return
-        rule_row = dgp.rule_row(t, a_idx, y_idx)
-        for a, p_a in enumerate(rule_row):
+            paths.append(PathWeight(treatments, observed, prob))
+            continue
+        span = n_y ** (t + 1)
+        branches = []
+        for a, p_a in enumerate(rules[t][a_flat * span + y_flat]):
             if p_a == 0.0:
                 continue
-            outcome_row = dgp.outcome_row(t + 1, a_idx + (a,), y_idx)
-            for y, p_y in enumerate(outcome_row):
+            a_next = a_flat * n_a + a
+            for y, p_y in enumerate(outcomes[t + 1][a_next * span + y_flat]):
                 if p_y == 0.0:
                     continue
-                walk(t + 1, a_idx + (a,), y_idx + (y,), prob * p_a * p_y)
-
-    walk(0, (), (dgp.initial_outcome_index,), 1.0)
+                branches.append((t + 1, a_next, y_flat * n_y + y, treatments + (a_vals[a],),
+                                 observed + (y_vals[y],), prob * p_a * p_y))
+        stack.extend(reversed(branches))
     return tuple(paths)
 
 
@@ -671,12 +684,15 @@ def check_opportunistic(dgp: FiniteDgp, target: Sequence[int]) -> OpportunisticR
     Histories where the target path can no longer occur are skipped and
     counted.  A time with no non-neutral history anywhere fails (ii) and is
     reported as not opportunistic; it also cannot contribute bias.  Every
-    value is read from the reach, lag-0 propensity and f_{T,t} passes.
+    value is read from the reach, lag-0 propensity and f_{T,t} passes.  The
+    report is computed once per instance and target path, then reused.
     """
-    target_vals = tuple(int(a) for a in target)
+    path = _path(dgp, 0, (), target)
+    if path in dgp._reports:
+        return dgp._reports[path]
     values = dgp.outcome_values
     n_y = len(values)
-    P, R = _pinned(dgp, _path(dgp, 0, (), target))
+    P, R = _pinned(dgp, path)
     reach = _forward(P, R, dgp.initial_outcome_index)
     lag0 = _backward(P, R, 1.0)
     expected = _backward(P, None, values)
@@ -753,13 +769,13 @@ def check_opportunistic(dgp: FiniteDgp, target: Sequence[int]) -> OpportunisticR
 
     has_nonconstant = any(tc.nonconstant for tc in per_time)
     everywhere = all(tc.opportunistic for tc in per_time if tc.nonconstant)
-    return OpportunisticReport(
-        target=target_vals,
+    return dgp._reports.setdefault(path, OpportunisticReport(
+        target=tuple(int(a) for a in target),
         per_time=tuple(per_time),
         opportunistic_everywhere=everywhere,
         has_nonconstant=has_nonconstant,
         witness_margin=max((tc.witness_margin for tc in per_time), default=0.0),
-    )
+    ))
 
 
 def check_monotone_process(dgp: FiniteDgp) -> bool:
@@ -1012,38 +1028,36 @@ def random_dgp(rng: np.random.Generator) -> FiniteDgp:
     T = int(rng.integers(2, 4))
     n_y = int(rng.integers(2, 4))
     values = tuple(float(v) for v in np.cumsum(rng.uniform(0.2, 1.0, n_y)))
-
-    def outcome_fn(t, a_idx, y_idx):
-        return _random_row(rng, n_y)
-
-    def rule_fn(t, a_idx, y_idx):
-        return _random_row(rng, 2)
-
-    return FiniteDgp.from_functions(T, values, (0, 1), 0, outcome_fn, rule_fn)
+    return FiniteDgp.from_functions(
+        T, values, (0, 1), 0,
+        lambda t, a, y: _random_row(rng, n_y), lambda t, a, y: _random_row(rng, 2),
+    )
 
 
-def _monotone_outcome_fn(rng: np.random.Generator, horizon: int, n_y: int):
-    """Capped-increment outcome kernels: y_t = min(y_{t-1} + step, top).
+def _monotone_outcome_tables(rng: np.random.Generator, horizon: int, n_y: int) -> dict:
+    """Capped-increment outcome kernels y_t = min(y_{t-1} + step, top), with one
+    Dirichlet step distribution per (t, a_1..a_t) in C order.  It never depends on
+    y_{t-1}, so the process is monotone (steps are nonnegative) and stochastically
+    monotone (higher y now cannot lower the distribution of y later)."""
+    steps = rng.dirichlet(np.ones(3), size=2 ** (horizon + 1) - 2)
+    prev = np.arange(n_y)
+    tables = {}
+    for t in range(1, horizon + 1):
+        inc = steps[2**t - 2 : 2 ** (t + 1) - 2]  # this t's rows, a_1..a_t in C order
+        kernel = np.zeros((2**t, n_y, n_y))  # [a_1..a_t, y_{t-1}, y_t]
+        for step in range(3):  # capped steps add up in this order
+            kernel[:, prev, np.minimum(prev + step, n_y - 1)] += inc[:, step, None]
+        shape = (2,) * t + (n_y,) * (t + 1)
+        tables[t] = np.broadcast_to(kernel.reshape(shape[:t] + (1,) * (t - 1) + (n_y, n_y)), shape)
+    return tables
 
-    The step distribution varies with time and the treatment history but
-    never with the current outcome, which makes the process monotone (steps
-    are nonnegative) and stochastically monotone (higher y now cannot lower
-    the distribution of y later).
-    """
-    increments = {}
 
-    def outcome_fn(t, a_idx, y_idx):
-        key = (t, a_idx)
-        if key not in increments:
-            increments[key] = rng.dirichlet(np.ones(3))
-        inc = increments[key]
-        prev = y_idx[-1]
-        probs = [0.0] * n_y
-        for step, p in enumerate(inc):
-            probs[min(prev + step, n_y - 1)] += float(p)
-        return tuple(probs)
-
-    return outcome_fn
+def _rule_tables(continues: list, n_y: int) -> dict:
+    """Rule table t with rows (c, 1 - c), c = continues[t] a function of a_1..a_t and y_t."""
+    return {
+        t: np.broadcast_to(np.stack([c, 1.0 - c], -1), (2,) * t + (n_y,) * (t + 1) + (2,))
+        for t, c in enumerate(continues)
+    }
 
 
 def random_opportunistic_dgp(rng: np.random.Generator) -> tuple[FiniteDgp, tuple[int, ...]]:
@@ -1063,25 +1077,14 @@ def random_opportunistic_dgp(rng: np.random.Generator) -> tuple[FiniteDgp, tuple
         T = int(rng.integers(2, 4))
         n_y = T + 2
         values = tuple(float(v) for v in np.cumsum(rng.uniform(0.2, 1.0, n_y)))
-        outcome_fn = _monotone_outcome_fn(rng, T, n_y)
-        continue_probs = {
-            t: np.sort(rng.uniform(0.05, 0.95, n_y))[::-1] for t in range(T)
-        }
-
-        def rule_fn(t, a_idx, y_idx):
-            c = float(continue_probs[t][y_idx[-1]])
-            return (c, 1.0 - c)
-
-        dgp = FiniteDgp.from_functions(T, values, (0, 1), 0, outcome_fn, rule_fn)
+        rules = _rule_tables([np.sort(rng.uniform(0.05, 0.95, n_y))[::-1] for _ in range(T)], n_y)
+        outcomes = _monotone_outcome_tables(rng, T, n_y)
+        dgp = FiniteDgp.from_functions(T, values, (0, 1), 0, outcomes, rules)
         target = (0,) * T
         report = check_opportunistic(dgp, target)
-        if not report.has_nonconstant:
-            continue
-        if not report.opportunistic_everywhere:
-            continue
-        if report.witness_margin < _MIN_MARGIN:
-            continue
-        return dgp, target
+        if report.has_nonconstant and report.opportunistic_everywhere:
+            if report.witness_margin >= _MIN_MARGIN:
+                return dgp, target
     raise RuntimeError(f"no opportunistic instance found in {_MAX_TRIES} tries")
 
 
@@ -1100,19 +1103,14 @@ def random_monotone_threshold_dgp(
         T = int(rng.integers(2, 4))
         n_y = T + 2
         values = tuple(float(v) for v in np.cumsum(rng.uniform(0.2, 1.0, n_y)))
-        outcome_fn = _monotone_outcome_fn(rng, T, n_y)
         cut = int(rng.integers(0, n_y - 1))
         threshold = float((values[cut] + values[cut + 1]) / 2.0)
-
-        def rule_fn(t, a_idx, y_idx):
-            if any(a != 0 for a in a_idx):
-                return (0.0, 1.0)  # once treated, stay treated
-            return (0.0, 1.0) if values[y_idx[-1]] > threshold else (1.0, 0.0)
-
-        dgp = FiniteDgp.from_functions(T, values, (0, 1), 0, outcome_fn, rule_fn)
+        outcomes = _monotone_outcome_tables(rng, T, n_y)
+        below = np.array(values) <= threshold  # continue there, until the first treatment
+        untreated = [np.arange(2**t).reshape((2,) * t + (1,) * (t + 1)) == 0 for t in range(T)]
+        rules = _rule_tables([u & below for u in untreated], n_y)
+        dgp = FiniteDgp.from_functions(T, values, (0, 1), 0, outcomes, rules)
         target = (0,) * T
-        report = check_opportunistic(dgp, target)
-        if not report.has_nonconstant:
-            continue
-        return dgp, target, threshold
+        if check_opportunistic(dgp, target).has_nonconstant:
+            return dgp, target, threshold
     raise RuntimeError(f"no threshold instance with adaptive times in {_MAX_TRIES} tries")

@@ -6,6 +6,13 @@ computes over arrays: the tests require the two to agree bit for bit.
 
 import numpy as np
 
+from epibias.finite import (
+    _MAX_TRIES,
+    _MIN_MARGIN,
+    FiniteDgp,
+    PathWeight,
+    check_opportunistic,
+)
 from epibias.streams import _2_POW_MINUS_53, _GOLDEN, _MASK64, mix64
 
 
@@ -46,3 +53,99 @@ def truncated_normal_formula(mean, variance, lower, upper, u):
     degenerate = np.broadcast_to(variance == 0.0, x.shape)
     x = np.where(degenerate, np.clip(mean, lower, upper), x)
     return np.clip(x, lower, upper)
+
+
+def _monotone_outcome_fn(rng, horizon: int, n_y: int):
+    """Capped-increment outcome rows, drawn lazily per (t, a_1..a_t)
+    (`finite._monotone_outcome_tables`)."""
+    increments = {}
+
+    def outcome_fn(t, a_idx, y_idx):
+        key = (t, a_idx)
+        if key not in increments:
+            increments[key] = rng.dirichlet(np.ones(3))
+        inc = increments[key]
+        prev = y_idx[-1]
+        probs = [0.0] * n_y
+        for step, p in enumerate(inc):
+            probs[min(prev + step, n_y - 1)] += float(p)
+        return tuple(probs)
+
+    return outcome_fn
+
+
+def random_opportunistic_dgp(rng):
+    """`finite.random_opportunistic_dgp` built row by row from row functions."""
+    for _ in range(_MAX_TRIES):
+        T = int(rng.integers(2, 4))
+        n_y = T + 2
+        values = tuple(float(v) for v in np.cumsum(rng.uniform(0.2, 1.0, n_y)))
+        outcome_fn = _monotone_outcome_fn(rng, T, n_y)
+        continue_probs = {
+            t: np.sort(rng.uniform(0.05, 0.95, n_y))[::-1] for t in range(T)
+        }
+
+        def rule_fn(t, a_idx, y_idx):
+            c = float(continue_probs[t][y_idx[-1]])
+            return (c, 1.0 - c)
+
+        dgp = FiniteDgp.from_functions(T, values, (0, 1), 0, outcome_fn, rule_fn)
+        target = (0,) * T
+        report = check_opportunistic(dgp, target)
+        if not report.has_nonconstant:
+            continue
+        if not report.opportunistic_everywhere:
+            continue
+        if report.witness_margin < _MIN_MARGIN:
+            continue
+        return dgp, target
+    raise RuntimeError(f"no opportunistic instance found in {_MAX_TRIES} tries")
+
+
+def random_monotone_threshold_dgp(rng):
+    """`finite.random_monotone_threshold_dgp` built row by row from row functions."""
+    for _ in range(_MAX_TRIES):
+        T = int(rng.integers(2, 4))
+        n_y = T + 2
+        values = tuple(float(v) for v in np.cumsum(rng.uniform(0.2, 1.0, n_y)))
+        outcome_fn = _monotone_outcome_fn(rng, T, n_y)
+        cut = int(rng.integers(0, n_y - 1))
+        threshold = float((values[cut] + values[cut + 1]) / 2.0)
+
+        def rule_fn(t, a_idx, y_idx):
+            if any(a != 0 for a in a_idx):
+                return (0.0, 1.0)  # once treated, stay treated
+            return (0.0, 1.0) if values[y_idx[-1]] > threshold else (1.0, 0.0)
+
+        dgp = FiniteDgp.from_functions(T, values, (0, 1), 0, outcome_fn, rule_fn)
+        target = (0,) * T
+        report = check_opportunistic(dgp, target)
+        if not report.has_nonconstant:
+            continue
+        return dgp, target, threshold
+    raise RuntimeError(f"no threshold instance with adaptive times in {_MAX_TRIES} tries")
+
+
+def enumerate_paths(dgp):
+    """`finite.enumerate_paths` as a recursive walk that reads one row at a
+    time through `FiniteDgp.rule_row` and `outcome_row`."""
+    paths = []
+
+    def walk(t, a_idx, y_idx, prob):
+        if t == dgp.horizon:
+            paths.append(PathWeight(
+                tuple(dgp.treatment_values[i] for i in a_idx),
+                tuple(dgp.outcome_values[i] for i in y_idx),
+                prob,
+            ))
+            return
+        for a, p_a in enumerate(dgp.rule_row(t, a_idx, y_idx)):
+            if p_a == 0.0:
+                continue
+            for y, p_y in enumerate(dgp.outcome_row(t + 1, a_idx + (a,), y_idx)):
+                if p_y == 0.0:
+                    continue
+                walk(t + 1, a_idx + (a,), y_idx + (y,), prob * p_a * p_y)
+
+    walk(0, (), (dgp.initial_outcome_index,), 1.0)
+    return tuple(paths)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from epibias.cli import fmt, main
+from epibias.cli import _attach_dash_values, build_parser, fmt, main
 from epibias.config import SETTINGS, ExperimentConfig, dump_config
 from epibias.finite import coin_epidemic, random_opportunistic_dgp
 
@@ -520,3 +520,40 @@ class TestWhitespace:
         echo = tmp_path / "echo.ini"
         echo.write_text(captured.out)
         assert run_main(["print-config", "--config", str(echo)], capsys) == runs[0]
+
+
+class TestDashValues:
+    # A flag value that starts with "-" reaches the setting's parser as the
+    # `--key=value` form does, instead of being taken for an option.
+    @pytest.mark.parametrize("key,value", [
+        ("threads", "-inf"), ("seed", "-1"), ("replicates", "-x"),
+        ("thresholds", "-0.1,0.2"), ("conditioning", "-full-path"), ("out", "-x"),
+    ])
+    def test_separate_value_parses_like_the_joined_form(self, capsys, key, value):
+        joined = run_main(["print-config", f"--{key}={value}"], capsys)
+        assert run_main(["print-config", f"--{key}", value], capsys) == joined
+        code, captured = joined
+        assert "usage:" not in captured.err and "Traceback" not in captured.err
+        if key == "out":
+            assert code == 0 and "out = -x\n" in captured.out
+        else:
+            assert code == 2 and captured.err.startswith("error:")
+
+    def test_option_after_a_flag_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["print-config", "--out", "--seed", "3"])
+        assert info.value.code == 2 and "expected one argument" in capsys.readouterr().err
+
+    def test_tokens_after_double_dash_are_left_alone(self):
+        assert _attach_dash_values(build_parser(), ["oracle", "--", "--out", "-x"]) == [
+            "oracle", "--", "--out", "-x"
+        ]
+
+    def test_unambiguous_prefix_counts_as_the_flag(self, capsys):
+        joined = run_main(["print-config", "--thresholds=-0.1"], capsys)
+        assert run_main(["print-config", "--thresh", "-0.1"], capsys) == joined
+        assert joined[0] == 2 and joined[1].err.startswith("error:")
+
+    def test_joined_flag_leaves_the_next_token_alone(self):
+        argv = ["print-config", "--out=-x", "-y"]
+        assert _attach_dash_values(build_parser(), argv) == argv

@@ -472,3 +472,81 @@ def test_enumerated_paths_match_brute_force_probabilities():
             assert enumerated[key] == pytest.approx(prob, abs=1e-12)
         else:
             assert key not in enumerated
+
+
+# ---------------------------------------------------------------------------
+# Ready tables in place of row functions
+# ---------------------------------------------------------------------------
+
+def _as_table(row_fn):
+    """row_fn's t = 1 rows for 2 treatments and 3 outcomes, as one object array."""
+    return np.array(
+        [[list(row_fn(1, (a,), (y,))) for y in range(3)] for a in range(2)], dtype=object
+    )
+
+
+def _error_text(outcome):
+    with pytest.raises(KernelValidationError) as info:
+        FiniteDgp.from_functions(
+            1, (0.0, 1.0, 2.0), (0, 1), 0, outcome, lambda t, a, y: (0.5, 0.5)
+        )
+    return str(info.value)
+
+
+class TestTablePath:
+    @pytest.mark.parametrize("bad_row", [
+        (0.5, 0.5),  # two entries for a 3-letter alphabet
+        ("x", 0.5, 0.5),
+        (float("nan"), 0.5, 0.5),
+        (0.5, 0.5, 0.5),
+        (1.5, -0.5, 0.0),
+    ], ids=["shape", "non-float", "nan", "row-sum", "negative"])
+    def test_table_errors_match_row_errors(self, bad_row):
+        def row_fn(t, a, y):
+            # A short row goes everywhere, so the rows still stack.
+            return bad_row if (a, y) == ((1,), (2,)) or len(bad_row) == 2 else (0.2, 0.3, 0.5)
+
+        from_rows = _error_text(row_fn)
+        from_table = _error_text({1: _as_table(row_fn)})
+        assert from_table == from_rows
+
+    def test_wrong_history_shape_is_refused(self):
+        table = np.full((3, 2, 3), 1.0 / 3.0)  # the history axes swapped
+        assert _error_text({1: table}) == (
+            "outcome kernel t=1: expected a float64 array of shape (2, 3, 3), got (3, 2, 3)"
+        )
+
+    def test_missing_table_is_refused(self):
+        assert _error_text({}) == "outcome kernel missing for t=1"
+
+    def test_table_equals_its_rows(self):
+        def row_fn(t, a, y):
+            return (0.1 * (1 + a[0]), 0.2, 0.7 - 0.1 * a[0]) if y[0] else (0.0, 1.0, 0.0)
+
+        rule = lambda t, a, y: (0.25, 0.75)  # noqa: E731
+        from_rows = FiniteDgp.from_functions(1, (0.0, 1.0, 2.0), (0, 1), 0, row_fn, rule)
+        table = _as_table(row_fn).astype(float)
+        from_table = FiniteDgp.from_functions(1, (0.0, 1.0, 2.0), (0, 1), 0, {1: table}, rule)
+        assert json.dumps(from_table.to_dict()) == json.dumps(from_rows.to_dict())
+
+    def test_caller_table_is_copied_not_frozen(self):
+        dgp = coin_epidemic()
+        tables = {t: np.array(k) for t, k in dgp.outcome_kernels.items()}
+        clone = FiniteDgp.from_functions(
+            dgp.horizon, dgp.outcome_values, dgp.treatment_values,
+            dgp.initial_outcome_index, tables, dgp.rule_kernels,
+        )
+        assert clone == dgp
+        for t, table in tables.items():
+            assert table.flags.writeable
+            assert not np.shares_memory(table, clone.outcome_kernels[t])
+            assert clone.outcome_kernels[t].flags.c_contiguous
+        tables[1][0, 0] = (1.0, 0.0, 0.0)
+        assert clone == dgp
+
+    def test_with_rule_copies_the_outcome_tables(self):
+        dgp = coin_epidemic()
+        other = dgp.with_rule(lambda t, a, y: (0.5, 0.5))
+        for t, table in dgp.outcome_kernels.items():
+            assert np.array_equal(other.outcome_kernels[t], table)
+            assert not np.shares_memory(other.outcome_kernels[t], table)

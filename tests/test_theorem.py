@@ -1,10 +1,16 @@
 """Opportunism diagnostics, identities, and the negative-bias property."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
+from epibias import finite
+from epibias.cli import main
 from epibias.finite import (
+    BUILTIN_INSTANCES,
     associational_exact,
     associational_via_ratios,
     audit_bayes_consistency,
@@ -177,3 +183,74 @@ def test_g_formula_stays_inside_outcome_range(seed):
 def test_zero_mean_identity_property(seed):
     dgp = random_dgp(np.random.default_rng(seed))
     assert audit_zero_mean(dgp) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Broadcast generators against their row-function references
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [42, 9042])
+def test_opportunistic_generator_matches_row_reference(seed):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for index in range(250):
+        dgp, target = random_opportunistic_dgp(fast)
+        ref_dgp, ref_target = reference.random_opportunistic_dgp(slow)
+        assert target == ref_target
+        assert json.dumps(dgp.to_dict()) == json.dumps(ref_dgp.to_dict()), index
+        got, want = verify_theorem1(dgp, target), verify_theorem1(ref_dgp, ref_target)
+        assert got.bias.hex() == want.bias.hex()
+        assert got.g_formula.hex() == want.g_formula.hex()
+        assert got.opportunistic.witness_margin.hex() == want.opportunistic.witness_margin.hex()
+
+
+@pytest.mark.parametrize("seed", [42, 9042])
+def test_threshold_generator_matches_row_reference(seed):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for index in range(250):
+        dgp, target, threshold = random_monotone_threshold_dgp(fast)
+        ref_dgp, ref_target, ref_threshold = reference.random_monotone_threshold_dgp(slow)
+        assert (target, threshold.hex()) == (ref_target, ref_threshold.hex())
+        assert json.dumps(dgp.to_dict()) == json.dumps(ref_dgp.to_dict()), index
+
+
+def test_path_walk_matches_row_reference():
+    # Same paths, in the same order, with the same probability bits, so the
+    # associational sums that read them are bit-identical too.
+    instances = [build() for build in BUILTIN_INSTANCES.values()]
+    rng = np.random.default_rng(42)
+    instances += [random_opportunistic_dgp(rng)[0] for _ in range(250)]
+    instances += [random_dgp(np.random.default_rng(seed)) for seed in range(20)]
+    for dgp in instances:
+        assert finite.enumerate_paths(dgp) == reference.enumerate_paths(dgp)
+
+
+def test_fuzz_instance_is_checked_once(monkeypatch, capsys):
+    # Each candidate runs the opportunism check's passes once: the CLI's
+    # verify_theorem1 reuses the report the generator computed.
+    counts = {"built": 0, "checked": 0}
+    forward, post_init = finite._forward, finite.FiniteDgp.__post_init__
+
+    def counted_forward(*args):
+        counts["checked"] += 1
+        return forward(*args)
+
+    def counted_post_init(self):
+        counts["built"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(finite, "_forward", counted_forward)
+    monkeypatch.setattr(finite.FiniteDgp, "__post_init__", counted_post_init)
+    assert main(["fuzz-theorem", "--count", "20", "--seed", "42"]) == 0
+    assert "20 respected" in capsys.readouterr().out
+    assert counts["checked"] == counts["built"] >= 20
+
+
+def test_opportunism_report_is_kept_per_target():
+    dgp = coin_epidemic()
+    report = check_opportunistic(dgp, (0, 0))
+    assert check_opportunistic(dgp, (0.0, 0.0)) is report
+    assert check_opportunistic(dgp, (0, 1)) is not report
+    assert verify_theorem1(dgp, (0, 0)).opportunistic is report
+    with pytest.raises(ValueError):
+        check_opportunistic(dgp, (0.5, 0))  # not a treatment value, memo or not
+    assert check_opportunistic(coin_epidemic(), (0, 0)) is not report
