@@ -131,13 +131,14 @@ def run_figures34(args, config: ExperimentConfig) -> int:
     # largest, which the config puts last: an absorbing threshold rule leaves
     # the all-zero path no earlier than any rule with a smaller threshold.
     rules = [ThresholdRule(threshold) for threshold in config.thresholds]
-    arguments = (zeros, config.replicates, derive_substream_seed(config.seed, 1),
-                 config.threads, config.conditioning)
-    shared = associational_pass(params, rules, *arguments)
+    shared = associational_pass(
+        params, rules, zeros, config.replicates, derive_substream_seed(config.seed, 1),
+        config.threads, config.conditioning,
+    )
     associational = {}
     for threshold, rule in zip(config.thresholds, rules):
         try:
-            estimate = estimate_associational(params, rule, *arguments, shared=shared)
+            estimate = estimate_associational(shared, rule)
         except EmptyConditioningError as exc:
             associational[threshold] = None
             print(f"threshold {threshold:g}: no retained trajectories "

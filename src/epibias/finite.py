@@ -208,19 +208,26 @@ class FiniteDgp:
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteDgp":
         try:
-            horizon = _integer(data["horizon"], "horizon")
-            outcome_values = tuple(float(v) for v in data["outcome_values"])
+            horizon = _number(data["horizon"], "horizon", integral=True)
+            outcome_values = tuple(_number(v, "outcome value") for v in data["outcome_values"])
             treatment_values = tuple(
-                _integer(v, "treatment value") for v in data["treatment_values"]
+                _number(v, "treatment value", integral=True) for v in data["treatment_values"]
             )
-            initial = _integer(data["initial_outcome_index"], "initial outcome index")
+            initial = _number(data["initial_outcome_index"], "initial outcome index", integral=True)
             _check_header(horizon, outcome_values, treatment_values, initial)
             rows = {"outcome": {}, "rule": {}}
             for kind, t, shape, width in _kernel_specs(
                 horizon, len(treatment_values), len(outcome_values)
             ):
-                serialized = {int(k): v for k, v in data[f"{kind}_kernels"].items()}.get(t)
+                serialized = data[f"{kind}_kernels"].get(str(t))
                 rows[kind][t] = _place_rows(kind, t, shape, width, serialized)
+            for kind, tables in rows.items():
+                extra = set(data[f"{kind}_kernels"]) - {str(t) for t in tables}
+                if extra:
+                    raise KernelValidationError(
+                        f"{kind} kernels: table keys {', '.join(sorted(map(repr, extra)))} "
+                        f"are not times of a horizon-{horizon} instance"
+                    )
             return cls.from_functions(
                 horizon, outcome_values, treatment_values, initial,
                 lambda t, a, y: rows["outcome"][t][a + y],
@@ -264,6 +271,19 @@ def _kernel_specs(horizon, n_a, n_y):
         yield "outcome", t, (n_a,) * t + (n_y,) * t, n_y
     for t in range(horizon):
         yield "rule", t, (n_a,) * t + (n_y,) * (t + 1), n_a
+
+
+def _is_number(value) -> bool:
+    """Whether value is a JSON number: an int or a float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, name: str, integral: bool = False):
+    """A JSON number as a float, or as an int when `integral`; a bool or a
+    string is refused, not coerced."""
+    if not _is_number(value):
+        raise KernelValidationError(f"{name} must be a number, got {value!r}")
+    return _integer(value, name) if integral else float(value)
 
 
 def _integer(value, name: str) -> int:
@@ -317,6 +337,10 @@ def _place_rows(kind, t, shape, width, serialized) -> dict:
             raise KernelValidationError(
                 f"{kind} kernel t={t} key {key!r}: {len(row)} entries for a "
                 f"{width}-letter alphabet"
+            )
+        if not all(map(_is_number, row)):
+            raise KernelValidationError(
+                f"{kind} kernel t={t} key {key!r}: entries must be numbers, got {row!r}"
             )
         placed[index] = row
     if len(placed) != math.prod(shape):
@@ -890,33 +914,6 @@ def audit_decomposition(dgp: FiniteDgp) -> float:
     return worst
 
 
-def audit_bayes_consistency(dgp: FiniteDgp) -> float:
-    """Max gap between s_t * p_t and the target-conditional outcome law.
-
-    The right side is recovered from the enumerated joint:
-    p_t(y | a-path = target, y_0..y_{t-1}), i.e. a ratio of path-mass sums.
-    Agreement confirms the Bayes step that justifies the ratio
-    decomposition.
-    """
-    worst = 0.0
-    paths = enumerate_paths(dgp)
-    for target in sorted({p.treatments for p in paths}):
-        P, R = _pinned(dgp, _a_indices(dgp, target))
-        lag0 = _backward(P, R, 1.0, stop=1)
-        mass = np.zeros(P[-1].shape)  # of y_0..y_T jointly with the target path
-        for p in paths:
-            if p.treatments == target:
-                mass[_y_indices(dgp, p.outcomes)] += p.probability
-        for t in range(dgp.horizon - 1, 0, -1):
-            mass = mass.sum(axis=-1)
-            lag1 = (P[t] * lag0[t]).sum(axis=-1)[..., None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gap = mass / mass.sum(axis=-1, keepdims=True) - lag0[t] / lag1 * P[t]
-            seen = (mass > 0.0) & (lag1 != 0.0)
-            worst = max(worst, float(np.abs(gap[seen]).max(initial=0.0)))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Built-in instances
 # ---------------------------------------------------------------------------
@@ -1087,30 +1084,3 @@ def random_opportunistic_dgp(rng: np.random.Generator) -> tuple[FiniteDgp, tuple
                 return dgp, target
     raise RuntimeError(f"no opportunistic instance found in {_MAX_TRIES} tries")
 
-
-def random_monotone_threshold_dgp(
-    rng: np.random.Generator,
-) -> tuple[FiniteDgp, tuple[int, ...], float]:
-    """A monotone outcome process governed by a deterministic threshold rule.
-
-    The rule treats (and keeps treating) once the current outcome exceeds a
-    threshold placed between two alphabet values.  Returns (instance,
-    never-treat target, threshold).  Instances are redrawn until some time
-    actually has a nonconstant ratio, i.e. the threshold splits reachable
-    outcomes.
-    """
-    for _ in range(_MAX_TRIES):
-        T = int(rng.integers(2, 4))
-        n_y = T + 2
-        values = tuple(float(v) for v in np.cumsum(rng.uniform(0.2, 1.0, n_y)))
-        cut = int(rng.integers(0, n_y - 1))
-        threshold = float((values[cut] + values[cut + 1]) / 2.0)
-        outcomes = _monotone_outcome_tables(rng, T, n_y)
-        below = np.array(values) <= threshold  # continue there, until the first treatment
-        untreated = [np.arange(2**t).reshape((2,) * t + (1,) * (t + 1)) == 0 for t in range(T)]
-        rules = _rule_tables([u & below for u in untreated], n_y)
-        dgp = FiniteDgp.from_functions(T, values, (0, 1), 0, outcomes, rules)
-        target = (0,) * T
-        if check_opportunistic(dgp, target).has_nonconstant:
-            return dgp, target, threshold
-    raise RuntimeError(f"no threshold instance with adaptive times in {_MAX_TRIES} tries")

@@ -29,7 +29,7 @@ Determinism: replicates are processed in fixed-size chunks; each replicate's
 randomness comes from a counter-based stream keyed by (seed, replicate
 index); chunk partial sums use numpy's pairwise reduction over arrays whose
 content depends only on the chunk; and chunks are folded in ascending index
-order after all workers finish.  Results are therefore bit-identical for any
+order as they are yielded.  Results are therefore bit-identical for any
 thread count.
 """
 
@@ -259,26 +259,19 @@ def _run_engine(
     conditioning: str,
     keep_samples: bool,
 ) -> list[dict]:
-    """Every rule's sums over all chunks, folded in ascending chunk order."""
+    """Every rule's sums over all chunks, each chunk folded in as it is
+    yielded, in ascending chunk order."""
     target_arr = _check_arguments(params, rules, target, replicates, conditioning)
-    bounds = [(lo, min(lo + CHUNK_SIZE, replicates)) for lo in range(0, replicates, CHUNK_SIZE)]
+    starts = range(0, replicates, CHUNK_SIZE)
     per_time = conditioning == "per-time"
 
-    def work(span):
-        lo, hi = span
+    def work(lo):
+        hi = min(lo + CHUNK_SIZE, replicates)
         return _chunk_stats(params, rules, target_arr, master_seed, lo, hi, per_time, keep_samples)
 
-    workers = min(threads, len(bounds), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(work, bounds))
-    else:
-        chunk_results = [work(span) for span in bounds]
-
     T = params.horizon
-    totals = []
-    for k in range(len(rules)):
-        total = {
+    totals = [
+        {
             "per_t_sums": np.zeros(T),
             "per_t_counts": np.zeros(T, dtype=np.int64),
             "divergence_hist": np.zeros(T + 1, dtype=np.int64),
@@ -286,13 +279,26 @@ def _run_engine(
             "final_sumsq": 0.0,
             "retained": 0,
         }
-        for res in chunk_results:
-            for field in total:
-                total[field] += res[k][field]
-        total["samples"] = (
-            np.concatenate([res[k]["samples"] for res in chunk_results]) if keep_samples else None
-        )
-        totals.append(total)
+        for _ in rules
+    ]
+    samples = [[] for _ in rules]
+
+    def fold(chunks):
+        for chunk in chunks:
+            for total, kept, res in zip(totals, samples, chunk):
+                for field in total:
+                    total[field] += res[field]
+                if keep_samples:
+                    kept.append(res["samples"])
+
+    workers = min(threads, len(starts), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            fold(pool.map(work, starts))
+    else:
+        fold(map(work, starts))
+    for total, kept in zip(totals, samples):
+        total["samples"] = np.concatenate(kept) if keep_samples else None
     return totals
 
 
@@ -329,8 +335,8 @@ def _estimate(total: dict, replicates: int) -> EstimateResult:
 class AssociationalPass:
     """One associational day-loop pass shared by a family of rules.
 
-    Made by `associational_pass`.  `estimate_associational(..., shared=pass)`
-    reads one rule's estimate from it; the pass runs at the first such read.
+    Made by `associational_pass`; `estimate_associational` reads one rule's
+    estimate from it, and the pass runs at the first such read.
     """
 
     params: SirParams
@@ -348,13 +354,6 @@ class AssociationalPass:
             self.params, self.rules, self.target, self.replicates, self.master_seed,
             self.threads, self.conditioning, self.keep_samples,
         )
-
-    def estimate(self, rule: PolicyRule) -> EstimateResult:
-        """`rule`'s estimate; raises EmptyConditioningError when it retained nothing."""
-        for k, member in enumerate(self.rules):
-            if member is rule:
-                return _estimate(self.totals[k], self.replicates)
-        raise ValueError(f"{rule.name} is not a rule of the shared pass")
 
 
 def associational_pass(
@@ -376,6 +375,12 @@ def associational_pass(
     outcomes.  For absorbing threshold rules and the all-zero target that is
     the largest threshold.  Random rules cannot share a pass, and a rule
     found on the target where the last one left it raises ValueError.
+
+    conditioning="full-path" retains a trajectory for all t only if its whole
+    treatment path matches the target (the default).  "per-time" computes the
+    intermediate Y_t means over trajectories matching the target only up to
+    t, a looser conditioning set some analyses prefer for mid-course curves;
+    final-time quantities are identical in both modes.
     """
     rules = tuple(rules)
     _check_arguments(params, rules, target, replicates, conditioning)
@@ -404,39 +409,16 @@ def estimate_causal(
     return _estimate(total, replicates)
 
 
-def estimate_associational(
-    params: SirParams,
-    rule: PolicyRule,
-    target: Sequence[int],
-    replicates: int,
-    master_seed: int,
-    threads: int = 1,
-    conditioning: str = "full-path",
-    keep_samples: bool = False,
-    shared: AssociationalPass | None = None,
-) -> EstimateResult:
-    """E[Y_t | realized treatments == target] under the endogenous rule.
-
-    conditioning="full-path" retains a trajectory for all t only if its whole
-    treatment path matches the target (the default).  "per-time" computes the
-    intermediate Y_t means over trajectories matching the target only up to
-    t, a looser conditioning set some analyses prefer for mid-course curves;
-    final-time quantities are identical in both modes.
-
-    With `shared`, a pass from `associational_pass` made with these same
-    arguments and holding `rule`, the estimate is read from that pass.
+def estimate_associational(shared: AssociationalPass, rule: PolicyRule) -> EstimateResult:
+    """E[Y_t | realized treatments == target] under the endogenous `rule`,
+    read from a pass made by `associational_pass` that holds `rule`.
 
     Raises EmptyConditioningError when nothing matches.
     """
-    asked = associational_pass(
-        params, (rule,) if shared is None else shared.rules, target, replicates, master_seed,
-        threads, conditioning, keep_samples,
-    )
-    if shared is None:
-        shared = asked
-    elif shared != asked:
-        raise ValueError("the shared pass was made with other arguments")
-    return shared.estimate(rule)
+    for k, member in enumerate(shared.rules):
+        if member is rule:
+            return _estimate(shared.totals[k], shared.replicates)
+    raise ValueError(f"{rule.name} is not a rule of the shared pass")
 
 
 def compute_bias_report(
@@ -454,24 +436,15 @@ def compute_bias_report(
     two Monte Carlo experiments share no randomness.
     """
     causal = estimate_causal(
-        params,
-        [0] * params.horizon if target is None else target,
-        replicates,
-        derive_substream_seed(master_seed, 0),
-        threads,
+        params, target, replicates, derive_substream_seed(master_seed, 0), threads
     )
-    associational = estimate_associational(
-        params,
-        rule,
-        target,
-        replicates,
-        derive_substream_seed(master_seed, 1),
-        threads,
+    shared = associational_pass(
+        params, (rule,), target, replicates, derive_substream_seed(master_seed, 1), threads,
         conditioning,
     )
-    threshold = getattr(rule, "threshold", None)
+    associational = estimate_associational(shared, rule)
     return BiasReport(
-        threshold=threshold,
+        threshold=getattr(rule, "threshold", None),
         causal=causal,
         associational=associational,
         bias=associational.mean - causal.mean,

@@ -1,7 +1,9 @@
 """Scalar and formula references that pin the package's vectorised code.
 
-Each function here is the plain, unoptimised form of something the package
-computes over arrays: the tests require the two to agree bit for bit.
+Each function here but one is the plain, unoptimised form of something the
+package computes over arrays: the tests require the two to agree bit for
+bit.  `random_monotone_threshold_dgp` has no package twin; it is the
+threshold-rule instance generator of the theorem tests.
 """
 
 import numpy as np
@@ -103,7 +105,15 @@ def random_opportunistic_dgp(rng):
 
 
 def random_monotone_threshold_dgp(rng):
-    """`finite.random_monotone_threshold_dgp` built row by row from row functions."""
+    """A monotone outcome process governed by a deterministic threshold rule,
+    built row by row from row functions.
+
+    The rule treats (and keeps treating) once the current outcome exceeds a
+    threshold placed between two alphabet values.  Returns (instance,
+    never-treat target, threshold).  Instances are redrawn until some time
+    actually has a nonconstant ratio, i.e. the threshold splits reachable
+    outcomes.
+    """
     for _ in range(_MAX_TRIES):
         T = int(rng.integers(2, 4))
         n_y = T + 2

@@ -69,9 +69,7 @@ def full_scale_run():
     )
     assoc = {}
     for threshold, rule in rules.items():
-        assoc[threshold] = estimate_associational(
-            params, rule, zeros, cfg.replicates, assoc_seed, keep_samples=True, shared=shared,
-        )
+        assoc[threshold] = estimate_associational(shared, rule)
     return {
         "config": cfg,
         "causal": causal,
@@ -268,8 +266,9 @@ def test_criterion_08_null_endogeneity_control():
     params = SirParams(population=10_000.0, initial_infected=200.0, horizon=3)
     zeros = (0,) * params.horizon
     causal = estimate_causal(params, zeros, 100_000, derive_substream_seed(7, 0))
+    rule = ExogenousRule(0.5)
     assoc = estimate_associational(
-        params, ExogenousRule(0.5), zeros, 100_000, derive_substream_seed(7, 1)
+        associational_pass(params, [rule], zeros, 100_000, derive_substream_seed(7, 1)), rule
     )
     bias = assoc.mean - causal.mean
     pooled = float(np.hypot(causal.std_error, assoc.std_error))

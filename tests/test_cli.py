@@ -195,6 +195,32 @@ MUTATIONS = {
     "empty outcome alphabet": (lambda data: data.update(outcome_values=[]), "outside alphabet"),
     "empty treatment alphabet": (lambda data: data.update(treatment_values=[]), "not empty"),
     "kernels not a mapping": (lambda data: data.update(rule_kernels=[]), "malformed"),
+    "boolean horizon": (lambda data: data.update(horizon=True), "horizon must be a number"),
+    "string probabilities": (
+        set_row("outcome_kernels", "1", "a=0;y=0", ["0.5", "0.5", "0.0"]),
+        "entries must be numbers",
+    ),
+    "string outcome values": (
+        lambda data: data.update(outcome_values=["0", "1", "2"]), "outcome value must be a number"
+    ),
+    "string initial index": (
+        lambda data: data.update(initial_outcome_index="0"),
+        "initial outcome index must be a number",
+    ),
+    "boolean treatments": (
+        lambda data: data.update(treatment_values=[False, True]), "treatment value must be a number"
+    ),
+    "boolean rule row":
+        (set_row("rule_kernels", "0", "a=;y=0", [True, False]), "entries must be numbers"),
+    "extra outcome table": (
+        lambda data: data["outcome_kernels"].update({"7": data["outcome_kernels"]["1"]}), "'7'"
+    ),
+    "padded table key": (
+        lambda data: data["outcome_kernels"].update(
+            {"01": {**data["outcome_kernels"]["1"], "a=0;y=0": [0.0, 1.0, 0.0]}}
+        ),
+        "'01'",
+    ),
 }
 
 

@@ -434,27 +434,31 @@ def brute_force_f(dgp, target_idx, ys):
 def test_opportunism_report_matches_brute_force():
     # Reach probabilities (forward pass), ratios and f_{T,t} (backward passes)
     # against joint-path enumeration.
+    # s_t * p_t = P(y_t | target, history) is the Bayes step behind the ratio
+    # decomposition, so it is checked at the drawn target and at every target
+    # the rule can follow.
     rng = np.random.default_rng(606)
     for _ in range(12):
         dgp = random_dgp(rng)
-        target = tuple(int(a) for a in rng.integers(0, 2, dgp.horizon))
+        drawn = tuple(int(a) for a in rng.integers(0, 2, dgp.horizon))
         joint = list(brute_force_joint(dgp))
-        for tc in check_opportunistic(dgp, target).per_time:
-            t = tc.t
-            for hc in tc.histories:
-                ys = tuple(dgp.outcome_index(y) for y in hc.outcomes)
-                reach = sum(p for a, y, p in joint if a[:t] == target[:t] and y[:t] == ys)
-                assert hc.reach_probability == pytest.approx(reach, abs=1e-12)
-                future = sum(p for a, y, p in joint if a == target and y[:t] == ys)
-                for value, s in hc.partition.ratios.items():
-                    step = ys + (dgp.outcome_index(value),)
-                    mass = sum(p for a, y, p in joint if a == target and y[: t + 1] == step)
-                    assert s * dgp.outcome_row(t, target[:t], ys)[step[-1]] == pytest.approx(
-                        mass / future, abs=1e-12
-                    )
-                    assert hc.expectations[value] == pytest.approx(
-                        brute_force_f(dgp, target, step), abs=1e-12
-                    )
+        for target in sorted({drawn} | {a for a, _, p in joint if p > 0.0}):
+            for tc in check_opportunistic(dgp, target).per_time:
+                t = tc.t
+                for hc in tc.histories:
+                    ys = tuple(dgp.outcome_index(y) for y in hc.outcomes)
+                    reach = sum(p for a, y, p in joint if a[:t] == target[:t] and y[:t] == ys)
+                    assert hc.reach_probability == pytest.approx(reach, abs=1e-12)
+                    future = sum(p for a, y, p in joint if a == target and y[:t] == ys)
+                    for value, s in hc.partition.ratios.items():
+                        step = ys + (dgp.outcome_index(value),)
+                        mass = sum(p for a, y, p in joint if a == target and y[: t + 1] == step)
+                        assert s * dgp.outcome_row(t, target[:t], ys)[step[-1]] == pytest.approx(
+                            mass / future, abs=1e-12
+                        )
+                        assert hc.expectations[value] == pytest.approx(
+                            brute_force_f(dgp, target, step), abs=1e-12
+                        )
 
 
 def test_enumerated_paths_match_brute_force_probabilities():

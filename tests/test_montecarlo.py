@@ -1,6 +1,7 @@
 """Monte Carlo estimator engine: determinism, conditioning, thread safety."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,7 +90,8 @@ def test_never_triggered_threshold_equals_causal_exactly():
     # threshold rule consumes no policy randomness, so both estimators see
     # identical noise streams: every statistic must match bit for bit.
     causal = estimate_causal(SMALL, ZEROS, 5000, 11)
-    assoc = estimate_associational(SMALL, ThresholdRule(1.0 - 1e-9), ZEROS, 5000, 11)
+    rule = ThresholdRule(1.0 - 1e-9)
+    assoc = estimate_associational(associational_pass(SMALL, [rule], ZEROS, 5000, 11), rule)
     assert assoc.replicates_retained == 5000
     assert assoc.mean == causal.mean
     assert assoc.std_error == causal.std_error
@@ -97,8 +99,9 @@ def test_never_triggered_threshold_equals_causal_exactly():
 
 
 def test_retained_counts_and_samples():
+    rule = ThresholdRule(0.001)
     res = estimate_associational(
-        SMALL, ThresholdRule(0.001), ZEROS, 4000, 13, keep_samples=True
+        associational_pass(SMALL, [rule], ZEROS, 4000, 13, keep_samples=True), rule
     )
     assert 0 < res.replicates_retained < 4000
     assert len(res.samples) == res.replicates_retained
@@ -111,8 +114,9 @@ def test_retained_counts_and_samples():
 
 def test_empty_conditioning_raises_with_diagnostics():
     # Threshold below y_0: the rule fires on day one for every replicate.
+    rule = ThresholdRule(1e-7)
     with pytest.raises(EmptyConditioningError) as exc:
-        estimate_associational(SMALL, ThresholdRule(1e-7), ZEROS, 64, 3)
+        estimate_associational(associational_pass(SMALL, [rule], ZEROS, 64, 3), rule)
     err = exc.value
     assert err.replicates_total == 64
     # Everyone diverged at the first treatment decision.
@@ -120,11 +124,12 @@ def test_empty_conditioning_raises_with_diagnostics():
 
 
 def test_per_time_conditioning_agrees_at_final_time():
+    rule = ThresholdRule(0.002)
     full = estimate_associational(
-        SMALL, ThresholdRule(0.002), ZEROS, 20000, 21, conditioning="full-path"
+        associational_pass(SMALL, [rule], ZEROS, 20000, 21, conditioning="full-path"), rule
     )
     per_t = estimate_associational(
-        SMALL, ThresholdRule(0.002), ZEROS, 20000, 21, conditioning="per-time"
+        associational_pass(SMALL, [rule], ZEROS, 20000, 21, conditioning="per-time"), rule
     )
     assert per_t.mean == full.mean
     assert per_t.replicates_retained == full.replicates_retained
@@ -134,17 +139,19 @@ def test_per_time_conditioning_agrees_at_final_time():
 
 
 def test_unknown_conditioning_mode_rejected():
+    rule = ThresholdRule(0.1)
     with pytest.raises(ValueError):
         estimate_associational(
-            SMALL, ThresholdRule(0.1), ZEROS, 100, 1, conditioning="sideways"
+            associational_pass(SMALL, [rule], ZEROS, 100, 1, conditioning="sideways"), rule
         )
 
 
 def test_bias_report_wires_subseeds():
     report = compute_bias_report(SMALL, ThresholdRule(0.003), ZEROS, 8000, 42)
     causal = estimate_causal(SMALL, ZEROS, 8000, derive_substream_seed(42, 0))
+    rule = ThresholdRule(0.003)
     assoc = estimate_associational(
-        SMALL, ThresholdRule(0.003), ZEROS, 8000, derive_substream_seed(42, 1)
+        associational_pass(SMALL, [rule], ZEROS, 8000, derive_substream_seed(42, 1)), rule
     )
     assert report.causal.mean == causal.mean
     assert report.associational.mean == assoc.mean
@@ -158,8 +165,9 @@ def test_exogenous_rule_conditioning_runs():
     # Random rule: policy draws consume stream space but results stay
     # reproducible.
     params = SirParams(horizon=6)
-    res1 = estimate_associational(params, ExogenousRule(0.5), (0,) * 6, 2000, 5)
-    res2 = estimate_associational(params, ExogenousRule(0.5), (0,) * 6, 2000, 5)
+    rule = ExogenousRule(0.5)
+    res1 = estimate_associational(associational_pass(params, [rule], (0,) * 6, 2000, 5), rule)
+    res2 = estimate_associational(associational_pass(params, [rule], (0,) * 6, 2000, 5), rule)
     assert res1.mean == res2.mean
     assert res1.replicates_retained == res2.replicates_retained
     # Roughly 2^-6 of replicates survive full-path matching.
@@ -335,10 +343,7 @@ def shared_estimates(thresholds, replicates, seed, threads, conditioning):
     out = {}
     for thr, rule in rules.items():
         try:
-            out[thr] = estimate_associational(
-                SHARED, rule, SHARED_ZEROS, replicates, seed, threads, conditioning,
-                keep_samples=True, shared=shared,
-            )
+            out[thr] = estimate_associational(shared, rule)
         except EmptyConditioningError as exc:
             out[thr] = exc.first_divergence
     return out
@@ -367,9 +372,11 @@ def test_shared_pass_matches_per_threshold_estimates(conditioning, threads):
     assert list(got) == list(SHARED_THRESHOLDS)
     for thr, result in got.items():
         try:
+            rule = ThresholdRule(thr)
             want = estimate_associational(
-                SHARED, ThresholdRule(thr), SHARED_ZEROS, replicates, 7, threads,
-                conditioning, keep_samples=True,
+                associational_pass(SHARED, [rule], SHARED_ZEROS, replicates, 7, threads,
+                                   conditioning, keep_samples=True),
+                rule,
             )
         except EmptyConditioningError as exc:
             assert thr == 1e-7 and result == exc.first_divergence == {1: replicates}
@@ -393,8 +400,8 @@ def test_shared_pass_steps_like_the_widest_rule(monkeypatch):
     shared_estimates(SHARED_THRESHOLDS, replicates, 7, 1, "full-path")
     shared_lanes = lanes[:]
     lanes.clear()
-    estimate_associational(SHARED, ThresholdRule(max(SHARED_THRESHOLDS)), SHARED_ZEROS,
-                           replicates, 7)
+    rule = ThresholdRule(max(SHARED_THRESHOLDS))
+    estimate_associational(associational_pass(SHARED, [rule], SHARED_ZEROS, replicates, 7), rule)
     assert len(shared_lanes) == 2 * SHARED.horizon
     assert shared_lanes == lanes
 
@@ -406,14 +413,35 @@ def test_shared_pass_rejects_what_it_cannot_score():
     # rule still follows.
     misordered = associational_pass(SHARED, (wide, narrow), *args)
     with pytest.raises(ValueError, match="diverge last"):
-        estimate_associational(SHARED, wide, *args, shared=misordered)
+        estimate_associational(misordered, wide)
     with pytest.raises(ValueError, match="random rule"):
         associational_pass(SHARED, (ExogenousRule(0.5), wide), *args)
     shared = associational_pass(SHARED, (narrow, wide), *args)
-    with pytest.raises(ValueError, match="other arguments"):
-        estimate_associational(SHARED, wide, SHARED_ZEROS, 2000, 8, shared=shared)
     with pytest.raises(ValueError, match="not a rule"):
-        estimate_associational(SHARED, ThresholdRule(0.03), *args, shared=shared)
+        estimate_associational(shared, ThresholdRule(0.03))
+
+
+def test_engine_memory_does_not_grow_with_the_chunk_count(monkeypatch):
+    # Each chunk's partial sums are folded into the totals as the chunk is
+    # yielded, so a shared pass over 400 chunks peaks where one over 50 does.
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 8)
+    params = SirParams(horizon=5)
+    rules = [ThresholdRule(thr) for thr in sorted(SHARED_THRESHOLDS)]
+
+    def peak(chunks):
+        shared = associational_pass(params, rules, (0,) * 5, 8 * chunks, 7)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        shared.totals
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        peak(2)  # leave one-time allocations out of both peaks
+        fifty, four_hundred = peak(50), peak(400)
+    finally:
+        tracemalloc.stop()
+    assert four_hundred <= 1.5 * fifty
 
 
 def test_divergence_days_reject_a_rule_still_on_the_target():
