@@ -249,16 +249,26 @@ def _load_instance(name: str) -> FiniteDgp:
         return BUILTIN_INSTANCES[name]()
     try:
         with open(name, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(
             f"{name!r} is not a built-in instance "
             f"({', '.join(sorted(BUILTIN_INSTANCES))}) and cannot be read as a "
             f"file: {exc}"
         ) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or UTF-8, or a repeated key
         raise ConfigError(f"instance file {name}: invalid JSON: {exc}") from exc
     return FiniteDgp.from_dict(data)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key it repeats (json keeps the last)."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"key {key!r} repeats in one object")
+        data[key] = value
+    return data
 
 
 def _bool_cell(flag: bool) -> str:

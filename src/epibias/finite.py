@@ -20,9 +20,13 @@ arithmetic), with no sampling:
 The kernels are dense arrays indexed by history.  Every quantity along one
 treatment path is read from two passes over them: `_backward`, the
 g-computation recursion, and `_forward`, the reach probability of every
-outcome history.  `enumerate_paths` and `associational_exact` condition the
-enumerated joint law instead; they are the reference the audits check the
-passes against.
+outcome history.  The passes along a target path run once per instance,
+and the opportunism report, the g-formula and the associational mean are
+all read from them.  `associational_via_ratios` rebuilds the associational
+mean from ratio-weighted kernels instead, and `audit_decomposition`
+compares the two.  The independent path enumerators that pin these values
+live with the tests (`tests/reference.py`, and the brute-force route of the
+acceptance tests).
 
 These exact values serve as oracles for the Monte Carlo machinery and as
 the substrate for randomized property tests.
@@ -66,8 +70,8 @@ class FiniteDgp:
     y_0..y_t]`, t = 0..horizon-1, that of a_{t+1}.  Their shapes are
     (n_a,)*t + (n_y,)*t + (n_y,) and (n_a,)*t + (n_y,)*(t+1) + (n_a,), so
     in C order the rows follow `itertools.product` over the history.
-    Validation makes the arrays read-only, so `check_opportunistic` keeps
-    its report per target path in `_reports` and computes it once.
+    Validation makes the arrays read-only, so the passes along a target
+    path run once: `_reports` keeps what they give per target path.
     """
 
     horizon: int
@@ -187,11 +191,17 @@ class FiniteDgp:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
+        def keys(t, shape):
+            a_part, y_part = (
+                [",".join(map(str, index)) for index in itertools.product(*map(range, axes))]
+                for axes in (shape[:t], shape[t:])
+            )
+            return [f"a={a};y={y}" for a in a_part for y in y_part]
+
         def dump(tables):
             return {
                 str(t): dict(zip(
-                    (_dump_key(index, t) for index in np.ndindex(table.shape[:-1])),
-                    table.reshape(-1, table.shape[-1]).tolist(),
+                    keys(t, table.shape[:-1]), table.reshape(-1, table.shape[-1]).tolist()
                 ))
                 for t, table in tables.items()
             }
@@ -350,10 +360,6 @@ def _place_rows(kind, t, shape, width, serialized) -> dict:
     return placed
 
 
-def _dump_key(index: tuple[int, ...], t: int) -> str:
-    return "a=" + ",".join(map(str, index[:t])) + ";y=" + ",".join(map(str, index[t:]))
-
-
 def _parse_key(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     try:
         a_part, y_part = text.split(";")
@@ -429,83 +435,6 @@ def _path(dgp: FiniteDgp, t: int, treatments, future) -> tuple[int, ...]:
             f"got {len(past)} and {len(rest)}"
         )
     return past + rest
-
-
-# ---------------------------------------------------------------------------
-# Path enumeration and the two exact estimands
-# ---------------------------------------------------------------------------
-
-class PathWeight(NamedTuple):
-    """One complete realization: treatment values, outcome values (y_0
-    first), and its exact joint probability under the rule."""
-
-    treatments: tuple[int, ...]
-    outcomes: tuple[float, ...]
-    probability: float
-
-
-def enumerate_paths(dgp: FiniteDgp) -> tuple[PathWeight, ...]:
-    """All positive-probability (treatment path, outcome path) pairs.
-
-    Branches whose rule or outcome probability is exactly zero are dropped,
-    so the result is the support of the joint law; probabilities sum to 1.
-    The path count is bounded by PATH_CAP at construction.
-    """
-    a_vals, y_vals = dgp.treatment_values, dgp.outcome_values
-    n_a, n_y = len(a_vals), len(y_vals)
-    # A history's row is its flat C-order index.  Depth first, as indices increase; an
-    # entry holds a_1..a_t and y_0..y_t both as flat indices and as values.
-    rules = {t: k.reshape(-1, n_a).tolist() for t, k in dgp.rule_kernels.items()}
-    outcomes = {t: k.reshape(-1, n_y).tolist() for t, k in dgp.outcome_kernels.items()}
-    paths = []
-    stack = [(0, 0, dgp.initial_outcome_index, (), (y_vals[dgp.initial_outcome_index],), 1.0)]
-    while stack:
-        t, a_flat, y_flat, treatments, observed, prob = stack.pop()
-        if t == dgp.horizon:
-            paths.append(PathWeight(treatments, observed, prob))
-            continue
-        span = n_y ** (t + 1)
-        branches = []
-        for a, p_a in enumerate(rules[t][a_flat * span + y_flat]):
-            if p_a == 0.0:
-                continue
-            a_next = a_flat * n_a + a
-            for y, p_y in enumerate(outcomes[t + 1][a_next * span + y_flat]):
-                if p_y == 0.0:
-                    continue
-                branches.append((t + 1, a_next, y_flat * n_y + y, treatments + (a_vals[a],),
-                                 observed + (y_vals[y],), prob * p_a * p_y))
-        stack.extend(reversed(branches))
-    return tuple(paths)
-
-
-def g_formula_exact(dgp: FiniteDgp, target: Sequence[int]) -> float:
-    """Mean final outcome when the treatment path is forced to `target`.
-
-    The backward pass with payoff y_T and no rule factors: the rule kernels
-    play no part, which is exactly what distinguishes this from the
-    associational quantity below.
-    """
-    P, _ = _pinned(dgp, _path(dgp, 0, (), target))
-    return float(_backward(P, None, dgp.outcome_values)[0][dgp.initial_outcome_index])
-
-
-def associational_exact(dgp: FiniteDgp, target: Sequence[int]) -> float:
-    """Mean final outcome among paths whose realized treatments equal `target`."""
-    want = tuple(int(a) for a in target)
-    if len(want) != dgp.horizon:
-        raise ValueError(f"target length {len(want)} != horizon {dgp.horizon}")
-    mass = 0.0
-    weighted = 0.0
-    for path in enumerate_paths(dgp):
-        if path.treatments == want:
-            mass += path.probability
-            weighted += path.probability * path.outcomes[-1]
-    if mass == 0.0:
-        raise UndefinedConditionalError(
-            f"treatment path {want} has probability zero under the rule"
-        )
-    return weighted / mass
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +581,7 @@ def moving_marginal_expectation(
 
 
 # ---------------------------------------------------------------------------
-# Opportunism and the negative-bias theorem
+# Opportunism, the two exact estimands and the negative-bias theorem
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -692,6 +621,15 @@ class OpportunisticReport:
     witness_margin: float
 
 
+class _Exact(NamedTuple):
+    """What the passes along one target path give, kept on the instance."""
+
+    report: OpportunisticReport
+    g_formula: float
+    mass: float  # probability that the realized treatments equal the target
+    weighted: float  # that mass weighted by the final outcome
+
+
 def check_opportunistic(dgp: FiniteDgp, target: Sequence[int]) -> OpportunisticReport:
     """Test whether the rule's adaptations always favor the target path.
 
@@ -711,6 +649,12 @@ def check_opportunistic(dgp: FiniteDgp, target: Sequence[int]) -> OpportunisticR
     value is read from the reach, lag-0 propensity and f_{T,t} passes.  The
     report is computed once per instance and target path, then reused.
     """
+    return _exact(dgp, target).report
+
+
+def _exact(dgp: FiniteDgp, target: Sequence[int]) -> _Exact:
+    """The opportunism report and both estimands along `target`, from one
+    forward and two backward passes run once per instance and target path."""
     path = _path(dgp, 0, (), target)
     if path in dgp._reports:
         return dgp._reports[path]
@@ -793,13 +737,44 @@ def check_opportunistic(dgp: FiniteDgp, target: Sequence[int]) -> OpportunisticR
 
     has_nonconstant = any(tc.nonconstant for tc in per_time)
     everywhere = all(tc.opportunistic for tc in per_time if tc.nonconstant)
-    return dgp._reports.setdefault(path, OpportunisticReport(
+    report = OpportunisticReport(
         target=tuple(int(a) for a in target),
         per_time=tuple(per_time),
         opportunistic_everywhere=everywhere,
         has_nonconstant=has_nonconstant,
         witness_margin=max((tc.witness_margin for tc in per_time), default=0.0),
-    ))
+    )
+    # Conditioning the joint law on the target: reach[T] holds each outcome
+    # path's probability as the product ((1 * p_a1) * p_y1) * p_a2 * ...
+    # Added one at a time in C order, the depth-first order of the paths,
+    # never pairwise as numpy's sum does.
+    mass = weighted = 0.0
+    for row in reach[-1][dgp.initial_outcome_index].reshape(-1, n_y).tolist():
+        for p, value in zip(row, values):
+            mass += p
+            weighted += p * value
+    g_formula = float(expected[0][dgp.initial_outcome_index])
+    return dgp._reports.setdefault(path, _Exact(report, g_formula, mass, weighted))
+
+
+def g_formula_exact(dgp: FiniteDgp, target: Sequence[int]) -> float:
+    """Mean final outcome when the treatment path is forced to `target`.
+
+    The backward pass with payoff y_T and no rule factors: the rule kernels
+    play no part, which is exactly what distinguishes this from the
+    associational quantity below.
+    """
+    return _exact(dgp, target).g_formula
+
+
+def associational_exact(dgp: FiniteDgp, target: Sequence[int]) -> float:
+    """Mean final outcome among paths whose realized treatments equal `target`."""
+    exact = _exact(dgp, target)
+    if exact.mass == 0.0:
+        raise UndefinedConditionalError(
+            f"treatment path {exact.report.target} has probability zero under the rule"
+        )
+    return exact.weighted / exact.mass
 
 
 def check_monotone_process(dgp: FiniteDgp) -> bool:
@@ -883,7 +858,8 @@ def associational_via_ratios(dgp: FiniteDgp, target: Sequence[int]) -> float:
 
     Weights each outcome step by s_t * p_t along the target, with s_t from
     the backward pass; agreement with `associational_exact` (which
-    conditions the enumerated joint) validates the ratio decomposition.
+    conditions the forward pass's joint law) validates the ratio
+    decomposition.
     """
     P, R = _pinned(dgp, _path(dgp, 0, (), target))
     lag0 = _backward(P, R, 1.0)
@@ -901,16 +877,15 @@ def associational_via_ratios(dgp: FiniteDgp, target: Sequence[int]) -> float:
 
 
 def audit_decomposition(dgp: FiniteDgp) -> float:
-    """Max |associational_via_ratios - associational_exact| over valid targets."""
+    """Max |associational_via_ratios - associational_exact| over the targets
+    the rule can follow."""
     worst = 0.0
-    seen = set()
-    for path in enumerate_paths(dgp):
-        if path.treatments in seen:
+    for target in itertools.product(dgp.treatment_values, repeat=dgp.horizon):
+        try:
+            direct = associational_exact(dgp, target)
+        except UndefinedConditionalError:
             continue
-        seen.add(path.treatments)
-        direct = associational_exact(dgp, path.treatments)
-        reweighted = associational_via_ratios(dgp, path.treatments)
-        worst = max(worst, abs(direct - reweighted))
+        worst = max(worst, abs(direct - associational_via_ratios(dgp, target)))
     return worst
 
 

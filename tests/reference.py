@@ -1,18 +1,22 @@
 """Scalar and formula references that pin the package's vectorised code.
 
-Each function here but one is the plain, unoptimised form of something the
+Most functions here are the plain, unoptimised form of something the
 package computes over arrays: the tests require the two to agree bit for
-bit.  `random_monotone_threshold_dgp` has no package twin; it is the
-threshold-rule instance generator of the theorem tests.
+bit.  Two have no package twin: `random_monotone_threshold_dgp`, the
+threshold-rule instance generator of the theorem tests, and
+`enumerate_paths`, the joint law as a list of paths, which
+`associational_exact` conditions.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
+from epibias.errors import UndefinedConditionalError
 from epibias.finite import (
     _MAX_TRIES,
     _MIN_MARGIN,
     FiniteDgp,
-    PathWeight,
     check_opportunistic,
 )
 from epibias.streams import _2_POW_MINUS_53, _GOLDEN, _MASK64, mix64
@@ -136,9 +140,23 @@ def random_monotone_threshold_dgp(rng):
     raise RuntimeError(f"no threshold instance with adaptive times in {_MAX_TRIES} tries")
 
 
+class PathWeight(NamedTuple):
+    """One complete realization: treatment values, outcome values (y_0
+    first), and its exact joint probability under the rule."""
+
+    treatments: tuple[int, ...]
+    outcomes: tuple[float, ...]
+    probability: float
+
+
 def enumerate_paths(dgp):
-    """`finite.enumerate_paths` as a recursive walk that reads one row at a
-    time through `FiniteDgp.rule_row` and `outcome_row`."""
+    """All positive-probability (treatment path, outcome path) pairs, depth
+    first as indices increase, by a recursive walk that reads one row at a
+    time through `FiniteDgp.rule_row` and `outcome_row`.
+
+    Branches whose rule or outcome probability is exactly zero are dropped,
+    so the result is the support of the joint law.
+    """
     paths = []
 
     def walk(t, a_idx, y_idx, prob):
@@ -159,3 +177,19 @@ def enumerate_paths(dgp):
 
     walk(0, (), (dgp.initial_outcome_index,), 1.0)
     return tuple(paths)
+
+
+def associational_exact(dgp, target):
+    """`finite.associational_exact` by conditioning the enumerated joint law,
+    adding the paths on the target one at a time in enumeration order."""
+    want = tuple(int(a) for a in target)
+    mass = weighted = 0.0
+    for path in enumerate_paths(dgp):
+        if path.treatments == want:
+            mass += path.probability
+            weighted += path.probability * path.outcomes[-1]
+    if mass == 0.0:
+        raise UndefinedConditionalError(
+            f"treatment path {want} has probability zero under the rule"
+        )
+    return weighted / mass

@@ -318,6 +318,36 @@ class TestOracle:
         assert err.startswith("error:") and phrase in err and "Traceback" not in err
         assert not (out / "oracle_report.csv").exists()
 
+    # Repeats that plain json.load would settle silently by keeping the last
+    # value: (text in the coin-epidemic JSON, what is added right after it,
+    # the repeated key).  The row repeat ran to exit 0 with bias -0.75.
+    REPEATS = {
+        "row": ('"a=0;y=0": [0.5, 0.5, 0.0]', ', "a=0;y=0": [0.25, 0.75, 0.0]', "'a=0;y=0'"),
+        "table": ('"outcome_kernels": {', '"1": {}, ', "'1'"),
+        "top level": ('"horizon": 2', ', "horizon": 2', "'horizon'"),
+    }
+
+    @pytest.mark.parametrize("place", sorted(REPEATS))
+    def test_repeated_key_exits_2(self, tmp_path, capsys, place):
+        anchor, added, key = self.REPEATS[place]
+        text = json.dumps(coin_epidemic().to_dict())
+        assert text.count(anchor) == 1
+        payload = tmp_path / "dgp.json"
+        payload.write_text(text.replace(anchor, anchor + added))
+        out = tmp_path / "o"
+        assert main(["oracle", str(payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"key {key} repeats" in err
+        assert not (out / "oracle_report.csv").exists()
+
+    def test_undecodable_instance_exits_2(self, tmp_path, capsys):
+        payload = tmp_path / "dgp.json"
+        payload.write_bytes(b'{"horizon": "\xff"}')
+        assert main(["oracle", str(payload), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "invalid JSON" in err and "Traceback" not in err
+
 
 class TestFuzzTheorem:
     def test_small_sweep_passes(self, capsys):

@@ -13,6 +13,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from reference import enumerate_paths
 from epibias.errors import (
     InstanceTooLargeError,
     KernelValidationError,
@@ -27,7 +28,6 @@ from epibias.finite import (
     check_opportunistic,
     classify_adaptations,
     coin_epidemic,
-    enumerate_paths,
     exogenous_null,
     g_formula_exact,
     moving_marginal_expectation,

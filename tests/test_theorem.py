@@ -1,6 +1,8 @@
 """Opportunism diagnostics, identities, and the negative-bias property."""
 
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 from epibias import finite
 from epibias.cli import main
+from epibias.errors import UndefinedConditionalError
 from epibias.finite import (
     BUILTIN_INSTANCES,
     associational_exact,
@@ -154,10 +157,8 @@ class TestRandomizedTheoremSweep:
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 2**31))
 def test_path_probabilities_always_sum_to_one(seed):
-    from epibias.finite import enumerate_paths
-
     dgp = random_dgp(np.random.default_rng(seed))
-    total = sum(p.probability for p in enumerate_paths(dgp))
+    total = sum(p.probability for p in reference.enumerate_paths(dgp))
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -196,15 +197,26 @@ def test_opportunistic_generator_matches_row_reference(seed):
         assert got.opportunistic.witness_margin.hex() == want.opportunistic.witness_margin.hex()
 
 
-def test_path_walk_matches_row_reference():
-    # Same paths, in the same order, with the same probability bits, so the
-    # associational sums that read them are bit-identical too.
+def test_associational_mean_matches_enumeration_bit_for_bit():
+    # The forward pass's reach probabilities, added one at a time in C order,
+    # give the bits of conditioning the enumerated joint law, at every target;
+    # a target the rule never follows fails alike on both sides.
     instances = [build() for build in BUILTIN_INSTANCES.values()]
     rng = np.random.default_rng(42)
     instances += [random_opportunistic_dgp(rng)[0] for _ in range(250)]
     instances += [random_dgp(np.random.default_rng(seed)) for seed in range(20)]
-    for dgp in instances:
-        assert finite.enumerate_paths(dgp) == reference.enumerate_paths(dgp)
+    unreachable = 0
+    for index, dgp in enumerate(instances):
+        for target in itertools.product(dgp.treatment_values, repeat=dgp.horizon):
+            try:
+                want = reference.associational_exact(dgp, target)
+            except UndefinedConditionalError as exc:
+                unreachable += 1
+                with pytest.raises(UndefinedConditionalError, match=re.escape(str(exc))):
+                    associational_exact(dgp, target)
+            else:
+                assert associational_exact(dgp, target).hex() == want.hex(), (index, target)
+    assert unreachable > 0
 
 
 def test_fuzz_instance_is_checked_once(monkeypatch, capsys):
