@@ -5,7 +5,7 @@ The package has two halves that check each other:
 * a stochastic SIR simulator plus Monte Carlo estimators for the causal
   (forced treatment path) and associational (conditioned on the realized
   path) mean outcomes, and
-* an exact enumeration engine for small tabular processes, where the same
+* an exact engine for small tabular processes, where the same
   quantities and the theory connecting them (propensity ratios,
   opportunistic interventions, the negative-bias theorem) are computed
   without sampling.
