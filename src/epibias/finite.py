@@ -100,9 +100,13 @@ class FiniteDgp:
                 f"{kind} kernel t={t}: expected a float64 array of shape {shape}, "
                 f"got {np.shape(table)}"
             )
-        # Whole-array tests first; the row searches below only name a bad row.
-        if np.isfinite(table).all() and (table >= 0.0).all():
-            if (np.abs(table.sum(axis=-1) - 1.0) <= _ROW_SUM_TOL).all():
+        # Two whole-array tests first; the row searches below only name a bad
+        # row.  A NaN or a -inf fails the first, a +inf the second; the
+        # header checks guarantee the table is not empty.
+        if table.min() >= 0.0:
+            error = table.sum(axis=-1)
+            error -= 1.0
+            if np.abs(error, out=error).max() <= _ROW_SUM_TOL:
                 table.flags.writeable = False
                 return
         checks = (
@@ -406,7 +410,8 @@ def _backward(P, R, payoff, stop: int = 0) -> list:
     """
     T = len(P) - 1
     V = [None] * (T + 1)
-    V[T] = np.broadcast_to(payoff, P[T].shape)
+    V[T] = np.empty(P[T].shape)
+    V[T][...] = payoff
     for t in range(T - 1, stop - 1, -1):
         V[t] = (P[t + 1] * V[t + 1]).sum(axis=-1)
         if R is not None:
@@ -420,7 +425,8 @@ def _forward(P, R, initial: int) -> list:
     F[t][y_0..y_t] is the joint probability of y_0..y_t and a_1..a_t =
     path[:t], for t = 0..T; F[t] * R[t] adds a_{t+1} = path[t].
     """
-    F = [np.eye(len(R[0]))[initial]]
+    F = [np.zeros(len(R[0]))]
+    F[0][initial] = 1.0
     for t in range(1, len(P)):
         F.append((F[-1] * R[t - 1])[..., None] * P[t])
     return F
@@ -659,56 +665,53 @@ def _exact(dgp: FiniteDgp, target: Sequence[int]) -> _Exact:
     if path in dgp._reports:
         return dgp._reports[path]
     values = dgp.outcome_values
-    n_y = len(values)
+    value_array = np.array(values)
+    column = {value: y for y, value in enumerate(values)}
     P, R = _pinned(dgp, path)
     reach = _forward(P, R, dgp.initial_outcome_index)
     lag0 = _backward(P, R, 1.0)
-    expected = _backward(P, None, values)
+    expected = _backward(P, None, value_array)
 
     per_time = []
     for t in range(1, dgp.horizon):
         # Reachable histories y_0..y_{t-1}, in C order, which is the order of
         # a depth-first walk over increasing outcome indices.
         reach_t = reach[t - 1] * R[t - 1]  # y_0..y_{t-1} jointly with a_1..a_t
-        weights = reach_t.reshape(-1)
-        kept = np.flatnonzero(weights)
-        rows = P[t].reshape(-1, n_y)[kept]
-        lag0_rows = lag0[t].reshape(-1, n_y)[kept]
+        kept = reach_t.nonzero()
+        rows, lag0_rows = P[t][kept], lag0[t][kept]
         histories = zip(
-            np.stack(np.unravel_index(kept, reach_t.shape), axis=-1).tolist(),
-            weights[kept].tolist(),
+            zip(*(value_array[axis].tolist() for axis in kept)),  # the outcome values
+            reach_t[kept].tolist(),
             rows.tolist(),
             lag0_rows.tolist(),
             (rows * lag0_rows).sum(axis=-1).tolist(),
-            expected[t].reshape(-1, n_y)[kept].tolist(),
+            expected[t][kept].tolist(),
         )
         checks = []
         skipped = 0
-        for y_idx, weight, row, lag0_row, denom, f_row in histories:
+        for outcomes, weight, row, lag0_row, denom, f_row in histories:
             if denom == 0.0:
                 skipped += 1
                 continue
             partition = _partition(values, row, [p / denom for p in lag0_row])
-            expectations = {values[y]: f_row[y] for y, p in enumerate(row) if p != 0.0}
-            non_neutral = partition.upweighted | partition.downweighted
-            if partition.downweighted and partition.upweighted:
-                down_inf = min(expectations[y] for y in partition.downweighted)
-                up_sup = max(expectations[y] for y in partition.upweighted)
-                cond_i = down_inf >= up_sup - _NEUTRAL_TOL
-            else:
-                cond_i = True
-            if partition.downweighted:
-                pivot = min(expectations[y] for y in partition.downweighted)
+            ratios, up, down = partition.ratios, partition.upweighted, partition.downweighted
+            expectations = {y: f_row[column[y]] for y in ratios}
+            non_neutral = up | down
+            margin = 0.0
+            cond_i = True
+            if down:
+                pivot = min(expectations[y] for y in down)
                 margin = max(abs(expectations[y] - pivot) for y in non_neutral)
-            else:
-                margin = 0.0
-            mass = sum(
-                row[dgp.outcome_index(y)] * abs(1.0 - partition.ratios[y])
-                for y in non_neutral
-            )
+                if up:
+                    cond_i = pivot >= max(expectations[y] for y in up) - _NEUTRAL_TOL
+            # Added one at a time in set order from int 0, as sum() does up to
+            # Python 3.11 (3.12's sum() compensates).
+            mass = 0
+            for y in non_neutral:
+                mass += row[column[y]] * abs(1.0 - ratios[y])
             checks.append(
                 HistoryCheck(
-                    outcomes=tuple(values[i] for i in y_idx),
+                    outcomes=outcomes,
                     reach_probability=weight,
                     partition=partition,
                     expectations=expectations,
@@ -746,13 +749,12 @@ def _exact(dgp: FiniteDgp, target: Sequence[int]) -> _Exact:
     )
     # Conditioning the joint law on the target: reach[T] holds each outcome
     # path's probability as the product ((1 * p_a1) * p_y1) * p_a2 * ...
-    # Added one at a time in C order, the depth-first order of the paths,
-    # never pairwise as numpy's sum does.
-    mass = weighted = 0.0
-    for row in reach[-1][dgp.initial_outcome_index].reshape(-1, n_y).tolist():
-        for p, value in zip(row, values):
-            mass += p
-            weighted += p * value
+    # cumsum adds them one at a time in C order, the depth-first order of the
+    # paths, never pairwise as numpy's sum does; the final + 0.0 turns an
+    # all -0.0 total into the 0.0 that a sum started at 0.0 gives.
+    final = reach[-1][dgp.initial_outcome_index]
+    mass = float(np.cumsum(final)[-1]) + 0.0
+    weighted = float(np.cumsum(final * value_array)[-1]) + 0.0
     g_formula = float(expected[0][dgp.initial_outcome_index])
     return dgp._reports.setdefault(path, _Exact(report, g_formula, mass, weighted))
 
@@ -1013,23 +1015,32 @@ def _monotone_outcome_tables(rng: np.random.Generator, horizon: int, n_y: int) -
     monotone (higher y now cannot lower the distribution of y later)."""
     steps = rng.dirichlet(np.ones(3), size=2 ** (horizon + 1) - 2)
     prev = np.arange(n_y)
+    kernels = np.zeros((len(steps), n_y, n_y))  # [(t, a_1..a_t), y_{t-1}, y_t]
+    for step in range(3):  # capped steps add up in this order
+        kernels[:, prev, np.minimum(prev + step, n_y - 1)] += steps[:, step, None]
     tables = {}
     for t in range(1, horizon + 1):
-        inc = steps[2**t - 2 : 2 ** (t + 1) - 2]  # this t's rows, a_1..a_t in C order
-        kernel = np.zeros((2**t, n_y, n_y))  # [a_1..a_t, y_{t-1}, y_t]
-        for step in range(3):  # capped steps add up in this order
-            kernel[:, prev, np.minimum(prev + step, n_y - 1)] += inc[:, step, None]
-        shape = (2,) * t + (n_y,) * (t + 1)
-        tables[t] = np.broadcast_to(kernel.reshape(shape[:t] + (1,) * (t - 1) + (n_y, n_y)), shape)
+        # Table t repeats its kernels over y_0..y_{t-2}, which sit between the
+        # treatment axes and y_{t-1}.
+        table = np.empty((2**t, n_y ** (t - 1), n_y, n_y))
+        table[...] = kernels[2**t - 2 : 2 ** (t + 1) - 2, None]
+        tables[t] = table.reshape((2,) * t + (n_y,) * (t + 1))
     return tables
 
 
-def _rule_tables(continues: list, n_y: int) -> dict:
-    """Rule table t with rows (c, 1 - c), c = continues[t] a function of a_1..a_t and y_t."""
-    return {
-        t: np.broadcast_to(np.stack([c, 1.0 - c], -1), (2,) * t + (n_y,) * (t + 1) + (2,))
-        for t, c in enumerate(continues)
-    }
+def _rule_tables(continues: np.ndarray) -> dict:
+    """Rule table t with rows (c, 1 - c), c = continues[t, y_t] for every a_1..a_t
+    and y_0..y_{t-1}."""
+    horizon, n_y = continues.shape
+    rows = np.empty((horizon, n_y, 2))
+    rows[..., 0] = continues
+    np.subtract(1.0, continues, out=rows[..., 1])
+    tables = {}
+    for t in range(horizon):
+        table = np.empty(((2 * n_y) ** t, n_y, 2))
+        table[...] = rows[t]
+        tables[t] = table.reshape((2,) * t + (n_y,) * (t + 1) + (2,))
+    return tables
 
 
 def random_opportunistic_dgp(rng: np.random.Generator) -> tuple[FiniteDgp, tuple[int, ...]]:
@@ -1048,8 +1059,8 @@ def random_opportunistic_dgp(rng: np.random.Generator) -> tuple[FiniteDgp, tuple
     for _ in range(_MAX_TRIES):
         T = int(rng.integers(2, 4))
         n_y = T + 2
-        values = tuple(float(v) for v in np.cumsum(rng.uniform(0.2, 1.0, n_y)))
-        rules = _rule_tables([np.sort(rng.uniform(0.05, 0.95, n_y))[::-1] for _ in range(T)], n_y)
+        values = tuple(np.cumsum(rng.uniform(0.2, 1.0, n_y)).tolist())
+        rules = _rule_tables(np.sort(rng.uniform(0.05, 0.95, (T, n_y)))[:, ::-1])
         outcomes = _monotone_outcome_tables(rng, T, n_y)
         dgp = FiniteDgp.from_functions(T, values, (0, 1), 0, outcomes, rules)
         target = (0,) * T

@@ -1,11 +1,23 @@
-"""Shared test fixtures."""
+"""Shared test fixtures and the Hypothesis profiles.
+
+Tier-1 runs the `tier1` profile: every property test draws the same
+examples on every run and keeps no example database, so a result repeats.
+`pytest --hypothesis-profile explore` draws fresh random examples instead
+and keeps failing ones in `.hypothesis/`.  Neither profile sets
+`max_examples` or `deadline`; each test states its own.
+"""
 
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import epibias
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Opportunism diagnostics, identities, and the negative-bias property."""
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import re
@@ -217,6 +219,64 @@ def test_associational_mean_matches_enumeration_bit_for_bit():
             else:
                 assert associational_exact(dgp, target).hex() == want.hex(), (index, target)
     assert unreachable > 0
+
+
+def test_associational_mean_of_an_all_negative_zero_outcome_is_positive_zero():
+    # Every path ends at the outcome -0.0, so each weighted term is -0.0; a
+    # sum started at 0.0, as the enumeration's is, still gives +0.0.
+    dgp = FiniteDgp.from_functions(
+        1, (-1.0, -0.0), (0,), 0, lambda t, a, y: (0.0, 1.0), lambda t, a, y: (1.0,)
+    )
+    want = reference.associational_exact(dgp, (0,))
+    assert want.hex() == "0x0.0p+0"
+    assert associational_exact(dgp, (0,)).hex() == want.hex()
+
+# sha256 of every report that test_report_digest writes, recorded before the
+# fuzz tables and the opportunism passes were rebuilt with fewer numpy calls.
+REPORT_DIGEST = "e85128ea17f6b7985ec1615a0c882f2ec4556b070ac6180df0d13d9c0fba0f3a"
+
+
+def _canonical(value):
+    """One text per report: floats by float.hex, sets and dicts sorted, and
+    an int kept apart from the float it equals."""
+    if isinstance(value, bool) or type(value) is int or isinstance(value, str):
+        return repr(value)
+    if type(value) is float:
+        return value.hex()
+    if isinstance(value, frozenset):
+        return "{" + ",".join(sorted(map(_canonical, value))) + "}"
+    if isinstance(value, dict):
+        entries = (f"{_canonical(k)}:{_canonical(v)}" for k, v in value.items())
+        return "{" + ",".join(sorted(entries)) + "}"
+    if isinstance(value, tuple):
+        return "(" + ",".join(map(_canonical, value)) + ")"
+    if dataclasses.is_dataclass(value):
+        body = ",".join(
+            f"{f.name}={_canonical(getattr(value, f.name))}" for f in dataclasses.fields(value)
+        )
+        return f"{type(value).__name__}({body})"
+    raise TypeError(f"no canonical text for {type(value).__name__} {value!r}")
+
+
+def test_report_digest():
+    # Every field of verify_theorem1's report, every HistoryCheck included,
+    # at every target of the builtins, the 250 seed-42 fuzz instances and
+    # 20 random_dgp draws; an unreachable target contributes its opportunism
+    # report, g-formula and error message.
+    instances = [build() for build in BUILTIN_INSTANCES.values()]
+    rng = np.random.default_rng(42)
+    instances += [random_opportunistic_dgp(rng)[0] for _ in range(250)]
+    instances += [random_dgp(np.random.default_rng(seed)) for seed in range(20)]
+    digest = hashlib.sha256()
+    for dgp in instances:
+        for target in itertools.product(dgp.treatment_values, repeat=dgp.horizon):
+            try:
+                text = _canonical(verify_theorem1(dgp, target))
+            except UndefinedConditionalError as exc:
+                report, g = check_opportunistic(dgp, target), g_formula_exact(dgp, target)
+                text = f"{_canonical(report)};{_canonical(g)};{exc}"
+            digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == REPORT_DIGEST
 
 
 def test_fuzz_instance_is_checked_once(monkeypatch, capsys):
