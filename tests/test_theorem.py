@@ -231,6 +231,7 @@ def test_associational_mean_of_an_all_negative_zero_outcome_is_positive_zero():
     assert want.hex() == "0x0.0p+0"
     assert associational_exact(dgp, (0,)).hex() == want.hex()
 
+
 # sha256 of every report that test_report_digest writes, recorded before the
 # fuzz tables and the opportunism passes were rebuilt with fewer numpy calls.
 REPORT_DIGEST = "e85128ea17f6b7985ec1615a0c882f2ec4556b070ac6180df0d13d9c0fba0f3a"
