@@ -2,9 +2,10 @@
 
 Tier-1 runs the `tier1` profile: every property test draws the same
 examples on every run and keeps no example database, so a result repeats.
-`pytest --hypothesis-profile explore` draws fresh random examples instead
-and keeps failing ones in `.hypothesis/`.  Neither profile sets
-`max_examples` or `deadline`; each test states its own.
+`pytest --hypothesis-profile default` selects Hypothesis's own default
+profile, which draws fresh random examples and keeps failing ones in
+`.hypothesis/`.  `tier1` sets no `max_examples` or `deadline`; each test
+states its own.
 """
 
 import os
@@ -16,7 +17,6 @@ from hypothesis import settings
 import epibias
 
 settings.register_profile("tier1", derandomize=True, database=None)
-settings.register_profile("explore", derandomize=False)
 settings.load_profile("tier1")
 
 

@@ -245,7 +245,7 @@ class TestOracle:
         assert main(["oracle", "no-such-thing", "--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err.lower()
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_kernel_entry_exits_2(self, tmp_path, capsys, value):
         data = coin_epidemic().to_dict()
         row = next(iter(data["outcome_kernels"]["1"].values()))
