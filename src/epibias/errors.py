@@ -34,10 +34,6 @@ class UndefinedConditionalError(ValueError):
     """Conditioning event has probability zero, so the conditional is undefined."""
 
 
-class UndefinedRatioError(ZeroDivisionError):
-    """Adaptive ratio requested where the lag-1 propensity is zero."""
-
-
 class InstanceTooLargeError(ValueError):
     """Exact enumeration refused: the path space exceeds the configured cap."""
 

@@ -10,12 +10,11 @@ arithmetic), with no sampling:
 * the interventional mean of Y_T under a forced treatment path (g-formula),
 * the conditional mean of Y_T given that the realized treatments happened
   to equal that path (the associational quantity),
-* lag-0/lag-1 prospective propensity scores, their ratio s_t, and the
-  partition of outcomes into upweighted / neutral / downweighted
-  adaptations,
-* moving marginal expectations f_{T,t},
-* the opportunistic-intervention test and the negative-bias theorem check
-  built on it.
+* the opportunism report, which holds, at every reachable history, the
+  adaptive ratio s_t, the partition of outcomes into upweighted / neutral
+  / downweighted adaptations, and the moving marginal expectations
+  f_{T,t},
+* the negative-bias theorem check built on that report.
 
 The kernels are dense arrays indexed by history.  Every quantity along one
 treatment path is read from two passes over them: `_backward`, the
@@ -37,16 +36,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    InstanceTooLargeError,
-    KernelValidationError,
-    UndefinedConditionalError,
-    UndefinedRatioError,
-)
+from .errors import InstanceTooLargeError, KernelValidationError, UndefinedConditionalError
 
 PATH_CAP = 10_000_000
 # numpy 1.x arrays have at most 32 axes, and outcome_kernels[T] has 2T + 1.
@@ -137,12 +131,6 @@ class FiniteDgp:
     def rule_row(self, t: int, a_idx: tuple[int, ...], y_idx: tuple[int, ...]):
         """Probability vector of a_{t+1} given treatments a_1..a_t, outcomes y_0..y_t."""
         return tuple(self.rule_kernels[t][a_idx + y_idx].tolist())
-
-    def outcome_index(self, value: float) -> int:
-        try:
-            return self.outcome_values.index(value)
-        except ValueError:
-            raise ValueError(f"outcome value {value!r} not in alphabet {self.outcome_values}")
 
     def treatment_index(self, value: int) -> int:
         try:
@@ -376,14 +364,6 @@ def _parse_key(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (a_idx, y_idx)
 
 
-def _a_indices(dgp: FiniteDgp, treatments: Iterable[int]) -> tuple[int, ...]:
-    return tuple(dgp.treatment_index(a) for a in treatments)
-
-
-def _y_indices(dgp: FiniteDgp, outcomes: Iterable[float]) -> tuple[int, ...]:
-    return tuple(dgp.outcome_index(y) for y in outcomes)
-
-
 # ---------------------------------------------------------------------------
 # The two passes along one treatment path
 # ---------------------------------------------------------------------------
@@ -432,94 +412,17 @@ def _forward(P, R, initial: int) -> list:
     return F
 
 
-def _path(dgp: FiniteDgp, t: int, treatments, future) -> tuple[int, ...]:
-    """Alphabet indices of a_1..a_t followed by a_{t+1}..a_T, lengths checked."""
-    past, rest = _a_indices(dgp, treatments), _a_indices(dgp, future)
-    if len(past) != t or len(rest) != dgp.horizon - t:
-        raise ValueError(
-            f"expected {t} past and {dgp.horizon - t} future treatments, "
-            f"got {len(past)} and {len(rest)}"
-        )
-    return past + rest
+def _path(dgp: FiniteDgp, target: Sequence[int]) -> tuple[int, ...]:
+    """Alphabet indices of the treatment path a_1..a_T, its length checked."""
+    path = tuple(dgp.treatment_index(a) for a in target)
+    if len(path) != dgp.horizon:
+        raise ValueError(f"expected {dgp.horizon} treatments, got {len(path)}")
+    return path
 
 
 # ---------------------------------------------------------------------------
-# Propensity machinery
+# Opportunism, the two exact estimands and the negative-bias theorem
 # ---------------------------------------------------------------------------
-
-def prospective_propensity(
-    dgp: FiniteDgp,
-    t: int,
-    lag: int,
-    future: Sequence[int],
-    treatments: Sequence[int],
-    outcomes: Sequence[float],
-) -> float:
-    """Probability the rule will produce `future` (a_{t+1}..a_T) from here.
-
-    lag=0 conditions on outcomes y_0..y_t; lag=1 conditions on y_0..y_{t-1}
-    only, marginalizing y_t, and needs t >= 1.  The conditioning history
-    must itself be reachable (positive probability), otherwise the
-    conditional does not exist and UndefinedConditionalError is raised.
-    """
-    if lag not in (0, 1) or t < lag:
-        raise ValueError(f"lag must be 0 or 1 and at most t, got lag {lag!r} at t={t}")
-    path = _path(dgp, t, treatments, future)
-    y_idx = _y_indices(dgp, outcomes)
-    expected_y = t + 1 if lag == 0 else t
-    if len(y_idx) != expected_y:
-        raise UndefinedConditionalError(
-            f"lag-{lag} history at t={t} needs {expected_y} outcomes (y_0 first), "
-            f"got {len(y_idx)}"
-        )
-    P, R = _pinned(dgp, path)
-    if not _forward(P, R, dgp.initial_outcome_index)[t][y_idx].any():
-        raise UndefinedConditionalError(
-            f"conditioning event a={tuple(treatments)} y={tuple(outcomes)} has "
-            f"probability zero"
-        )
-    propensity = _backward(P, R, 1.0, stop=t)[t][y_idx]
-    if lag == 1:
-        propensity = (P[t][y_idx] * propensity).sum(axis=-1)
-    return float(propensity)
-
-
-def _step_ratios(dgp, t, future, treatments, outcomes):
-    """p_t(y_t | history) and s_t(y_t) for every y_t, as two lists.
-
-    `outcomes` is the history y_0..y_{t-1}.  Raises UndefinedRatioError
-    where the lag-1 propensity is zero.
-    """
-    P, R = _pinned(dgp, _path(dgp, t, treatments, future))
-    y_prev_idx = _y_indices(dgp, outcomes)
-    if t < 1 or len(y_prev_idx) != t:
-        raise ValueError(f"expected {t} >= 1 outcomes y_0..y_{{t-1}}, got {len(y_prev_idx)}")
-    row = P[t][y_prev_idx]
-    lag0 = _backward(P, R, 1.0, stop=t)[t][y_prev_idx]
-    denom = (row * lag0).sum(axis=-1)
-    if denom == 0.0:
-        raise UndefinedRatioError(
-            f"lag-1 propensity is zero at t={t}, history y={tuple(outcomes)}"
-        )
-    return row.tolist(), (lag0 / denom).tolist()
-
-
-def adaptive_ratio(
-    dgp: FiniteDgp,
-    t: int,
-    future: Sequence[int],
-    treatments: Sequence[int],
-    outcomes: Sequence[float],
-    y_t: float,
-) -> float:
-    """s_t(y_t): how observing y_t reweights the chance of the future path.
-
-    Ratio of the lag-0 to the lag-1 prospective propensity; `outcomes` is
-    the history y_0..y_{t-1}, with y_t passed separately.
-    """
-    _, ratios = _step_ratios(dgp, t, future, treatments, outcomes)
-    return ratios[dgp.outcome_index(y_t)]
-
 
 @dataclass(frozen=True)
 class AdaptationPartition:
@@ -553,42 +456,6 @@ def _partition(values, row, ratios) -> AdaptationPartition:
             down.add(value)
     return AdaptationPartition(frozenset(up), frozenset(neutral), frozenset(down), by_value)
 
-
-def classify_adaptations(
-    dgp: FiniteDgp,
-    t: int,
-    future: Sequence[int],
-    treatments: Sequence[int],
-    outcomes: Sequence[float],
-) -> AdaptationPartition:
-    """Partition supported y_t values into s>1 / s=1 / s<1 classes."""
-    row, ratios = _step_ratios(dgp, t, future, treatments, outcomes)
-    return _partition(dgp.outcome_values, row, ratios)
-
-
-def moving_marginal_expectation(
-    dgp: FiniteDgp,
-    t: int,
-    y_t: float,
-    future: Sequence[int],
-    treatments: Sequence[int],
-    outcomes: Sequence[float],
-) -> float:
-    """f_{T,t}(y_t): expected final outcome given y_t, under forced future treatments.
-
-    Marginalizes outcomes at times t+1..T using the outcome kernels with
-    a_{t+1}..a_T pinned to `future`; the decision rule is irrelevant here.
-    """
-    P, _ = _pinned(dgp, _path(dgp, t, treatments, future))
-    y_idx = _y_indices(dgp, outcomes) + (dgp.outcome_index(y_t),)
-    if len(y_idx) != t + 1:
-        raise ValueError(f"expected {t} outcomes y_0..y_{{t-1}}, got {len(y_idx) - 1}")
-    return float(_backward(P, None, dgp.outcome_values, stop=t)[t][y_idx])
-
-
-# ---------------------------------------------------------------------------
-# Opportunism, the two exact estimands and the negative-bias theorem
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HistoryCheck:
@@ -661,7 +528,7 @@ def check_opportunistic(dgp: FiniteDgp, target: Sequence[int]) -> OpportunisticR
 def _exact(dgp: FiniteDgp, target: Sequence[int]) -> _Exact:
     """The opportunism report and both estimands along `target`, from one
     forward and two backward passes run once per instance and target path."""
-    path = _path(dgp, 0, (), target)
+    path = _path(dgp, target)
     if path in dgp._reports:
         return dgp._reports[path]
     values = dgp.outcome_values
@@ -863,7 +730,7 @@ def associational_via_ratios(dgp: FiniteDgp, target: Sequence[int]) -> float:
     conditions the forward pass's joint law) validates the ratio
     decomposition.
     """
-    P, R = _pinned(dgp, _path(dgp, 0, (), target))
+    P, R = _pinned(dgp, _path(dgp, target))
     lag0 = _backward(P, R, 1.0)
     init = dgp.initial_outcome_index
     if lag0[0][init] == 0.0:

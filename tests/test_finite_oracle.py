@@ -18,20 +18,15 @@ from epibias.errors import (
     InstanceTooLargeError,
     KernelValidationError,
     UndefinedConditionalError,
-    UndefinedRatioError,
 )
 from epibias.finite import (
     BUILTIN_INSTANCES,
     FiniteDgp,
-    adaptive_ratio,
     associational_exact,
     check_opportunistic,
-    classify_adaptations,
     coin_epidemic,
     exogenous_null,
     g_formula_exact,
-    moving_marginal_expectation,
-    prospective_propensity,
     random_dgp,
     random_opportunistic_dgp,
     reversed_coin_epidemic,
@@ -88,6 +83,11 @@ def brute_force_assoc(dgp, target):
 # The worked two-period example
 # ---------------------------------------------------------------------------
 
+def first_history(dgp):
+    """The opportunism report's check at t = 1 and history y_0, target (0, 0)."""
+    return check_opportunistic(dgp, (0, 0)).per_time[0].histories[0]
+
+
 class TestCoinEpidemic:
     def test_path_enumeration(self):
         paths = enumerate_paths(coin_epidemic())
@@ -114,38 +114,23 @@ class TestCoinEpidemic:
         assert assoc == pytest.approx(brute_force_assoc(dgp, (0, 0)), abs=1e-12)
         assert assoc - g == pytest.approx(-0.5, abs=1e-12)
 
-    def test_propensities(self):
-        dgp = coin_epidemic()
-        # After seeing y_1 = 0 the rule continues with 0.8; marginalizing
-        # y_1 out gives 0.4.
-        lag0 = prospective_propensity(dgp, 1, 0, (0,), (0,), (0.0, 0.0))
-        lag1 = prospective_propensity(dgp, 1, 1, (0,), (0,), (0.0,))
-        assert lag0 == pytest.approx(0.8, abs=1e-12)
-        assert lag1 == pytest.approx(0.4, abs=1e-12)
-
-    def test_empty_future_has_probability_one(self):
-        dgp = coin_epidemic()
-        assert prospective_propensity(dgp, 2, 0, (), (0, 0), (0.0, 0.0, 1.0)) == 1.0
-
     def test_adaptive_ratios(self):
-        dgp = coin_epidemic()
-        assert adaptive_ratio(dgp, 1, (0,), (0,), (0.0,), 0.0) == pytest.approx(2.0, abs=1e-12)
-        assert adaptive_ratio(dgp, 1, (0,), (0,), (0.0,), 1.0) == pytest.approx(0.0, abs=1e-12)
+        # After y_1 = 0 the rule continues with 0.8, and 0.4 with y_1
+        # marginalized out: s_1(0) = 2; y_1 = 1 never continues.
+        ratios = first_history(coin_epidemic()).partition.ratios
+        assert ratios == pytest.approx({0.0: 2.0, 1.0: 0.0}, abs=1e-12)
 
     def test_adaptation_partition(self):
-        dgp = coin_epidemic()
-        part = classify_adaptations(dgp, 1, (0,), (0,), (0.0,))
+        part = first_history(coin_epidemic()).partition
         assert part.upweighted == frozenset({0.0})
         assert part.downweighted == frozenset({1.0})
         assert part.neutral == frozenset()
         assert part.nonconstant
 
     def test_moving_marginal_expectations(self):
-        dgp = coin_epidemic()
-        f0 = moving_marginal_expectation(dgp, 1, 0.0, (0,), (0,), (0.0,))
-        f1 = moving_marginal_expectation(dgp, 1, 1.0, (0,), (0,), (0.0,))
-        assert f0 == pytest.approx(0.6, abs=1e-12)
-        assert f1 == pytest.approx(1.6, abs=1e-12)
+        f = first_history(coin_epidemic()).expectations
+        assert f[0.0] == pytest.approx(0.6, abs=1e-12)
+        assert f[1.0] == pytest.approx(1.6, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -226,27 +211,20 @@ def test_unreachable_conditioning_raises(tmp_path):
         associational_exact(dgp, (1,))
 
 
-def test_propensity_history_must_be_reachable():
-    dgp = coin_epidemic()
-    # y_0 must equal the initial value; anything else has probability zero.
-    with pytest.raises(UndefinedConditionalError):
-        prospective_propensity(dgp, 1, 0, (0,), (0,), (1.0, 0.0))
+def test_history_without_a_continuation_is_skipped():
+    # The rule never continues the target after y_1, so the lag-1 propensity
+    # at the one reachable history is zero and s_1 is undefined there.
+    dgp = coin_epidemic().with_rule(lambda t, a, y: (0.5, 0.5) if t == 0 else (0.0, 1.0))
+    (t1,) = check_opportunistic(dgp, (0, 0)).per_time
+    assert t1.skipped == 1
+    assert t1.histories == ()
 
 
-def test_propensity_validates_lengths():
-    dgp = coin_epidemic()
+@pytest.mark.parametrize("estimate", [g_formula_exact, associational_exact, check_opportunistic])
+@pytest.mark.parametrize("target", [(0,), (0, 5)], ids=["short", "outside-alphabet"])
+def test_target_is_validated(estimate, target):
     with pytest.raises(ValueError):
-        prospective_propensity(dgp, 1, 0, (0,), (0,), (0.0,))  # lag-0 needs y_0..y_1
-    with pytest.raises(ValueError):
-        prospective_propensity(dgp, 1, 2, (0,), (0,), (0.0,))  # lag must be 0 or 1
-
-
-def test_ratio_undefined_when_denominator_vanishes():
-    # Rule that never continues regardless of history: lag-1 propensity of
-    # the continuing path is zero.
-    dgp = coin_epidemic().with_rule(lambda t, a, y: (0.0, 1.0))
-    with pytest.raises(UndefinedRatioError):
-        adaptive_ratio(dgp, 1, (0,), (1,), (0.0,), 0.0)
+        estimate(coin_epidemic(), target)
 
 
 def test_moving_marginal_constant_outcome():
@@ -255,13 +233,12 @@ def test_moving_marginal_constant_outcome():
         lambda t, a, y: (0.0, 1.0),  # always jumps to 0.7
         lambda t, a, y: (0.5, 0.5),
     )
-    f = moving_marginal_expectation(dgp, 1, 0.7, (0,), (0,), (0.0,))
-    assert f == pytest.approx(0.7, abs=1e-12)
+    assert first_history(dgp).expectations == pytest.approx({0.7: 0.7}, abs=1e-12)
 
 
 def test_moving_marginal_at_last_step_is_one_step_expectation():
     dgp = coin_epidemic()
-    f = moving_marginal_expectation(dgp, 1, 1.0, (0,), (0,), (0.0,))
+    f = first_history(dgp).expectations[1.0]
     row = dgp.outcome_row(2, (0, 0), (0, 1))
     direct = sum(p * v for p, v in zip(row, dgp.outcome_values))
     assert f == pytest.approx(direct, abs=1e-12)
@@ -446,12 +423,12 @@ def test_opportunism_report_matches_brute_force():
             for tc in check_opportunistic(dgp, target).per_time:
                 t = tc.t
                 for hc in tc.histories:
-                    ys = tuple(dgp.outcome_index(y) for y in hc.outcomes)
+                    ys = tuple(dgp.outcome_values.index(y) for y in hc.outcomes)
                     reach = sum(p for a, y, p in joint if a[:t] == target[:t] and y[:t] == ys)
                     assert hc.reach_probability == pytest.approx(reach, abs=1e-12)
                     future = sum(p for a, y, p in joint if a == target and y[:t] == ys)
                     for value, s in hc.partition.ratios.items():
-                        step = ys + (dgp.outcome_index(value),)
+                        step = ys + (dgp.outcome_values.index(value),)
                         mass = sum(p for a, y, p in joint if a == target and y[: t + 1] == step)
                         assert s * dgp.outcome_row(t, target[:t], ys)[step[-1]] == pytest.approx(
                             mass / future, abs=1e-12
