@@ -518,7 +518,8 @@ def check_opportunistic(dgp: FiniteDgp, target: Sequence[int]) -> OpportunisticR
 
     Histories where the target path can no longer occur are skipped and
     counted.  A time with no non-neutral history anywhere fails (ii) and is
-    reported as not opportunistic; it also cannot contribute bias.  Every
+    reported as not opportunistic; it also cannot contribute bias.
+    `verify_theorem1` asks, besides, for a positive witness margin.  Every
     value is read from the reach, lag-0 propensity and f_{T,t} passes.  The
     report is computed once per instance and target path, then reused.
     """
@@ -666,8 +667,10 @@ def check_monotone_process(dgp: FiniteDgp) -> bool:
 @dataclass(frozen=True)
 class TheoremReport:
     """Negative-bias check: bias must be < 0 whenever the rule is
-    opportunistic at every ratio-nonconstant time and at least one such
-    time exists."""
+    opportunistic at every ratio-nonconstant time, at least one such time
+    exists, and the report's witness margin is positive (beyond
+    `_NEUTRAL_TOL`).  At a zero margin every non-neutral outcome has the
+    same f_{T,t}, so nothing separates the outcomes and the bias is zero."""
 
     target: tuple[int, ...]
     g_formula: float
@@ -685,7 +688,11 @@ def verify_theorem1(dgp: FiniteDgp, target: Sequence[int]) -> TheoremReport:
     causal = g_formula_exact(dgp, target)
     associational = associational_exact(dgp, target)
     bias = associational - causal
-    hypothesis = report.opportunistic_everywhere and report.has_nonconstant
+    hypothesis = (
+        report.opportunistic_everywhere
+        and report.has_nonconstant
+        and report.witness_margin > _NEUTRAL_TOL
+    )
     return TheoremReport(
         target=report.target,
         g_formula=causal,

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from epibias.cli import _attach_dash_values, build_parser, fmt, main
 from epibias.config import SETTINGS, ExperimentConfig, dump_config
-from epibias.finite import coin_epidemic, random_opportunistic_dgp
+from epibias.finite import coin_epidemic, random_dgp, random_opportunistic_dgp
 
 
 def read_csv(path):
@@ -240,6 +240,20 @@ class TestOracle:
         payload.write_text(json.dumps(coin_epidemic().to_dict()))
         out = tmp_path / "orc"
         assert main(["oracle", str(payload), "--out", str(out)]) == 0
+
+    def test_zero_witness_margin_is_not_a_violation(self, tmp_path, capsys):
+        # The 690th random_dgp draw at seed 2026 is opportunistic at its one
+        # nonconstant time, but with witness margin 0: the bias is rounding.
+        rng = np.random.default_rng(2026)
+        for _ in range(689):
+            random_dgp(rng)
+        payload = tmp_path / "dgp.json"
+        payload.write_text(json.dumps(random_dgp(rng).to_dict()))
+        assert main(["oracle", str(payload), "--out", str(tmp_path / "o")]) == 0
+        stdout = capsys.readouterr().out
+        assert "bias: 4.440892099e-16" in stdout
+        assert "opportunistic at every such time: True" in stdout
+        assert "theorem respected: True" in stdout
 
     def test_unknown_instance_exits_2(self, tmp_path, capsys):
         assert main(["oracle", "no-such-thing", "--out", str(tmp_path)]) == 2
