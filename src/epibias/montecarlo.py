@@ -25,16 +25,22 @@ target's treatments, so a pass under the rule that diverges last gives every
 rule's divergence days and outcomes (the clone-censor argument for comparing
 dynamic regimes).  A single rule is a one-rule family.
 
-Determinism: replicates are processed in fixed-size chunks; each replicate's
-randomness comes from a counter-based stream keyed by (seed, replicate
-index); chunk partial sums use numpy's pairwise reduction over arrays whose
-content depends only on the chunk; and chunks are folded in ascending index
-order as they are yielded.  Results are therefore bit-identical for any
-thread count.
+Determinism: the chunk of CHUNK_SIZE replicates is the unit of reduction,
+and the block of one or two consecutive chunks is the unit of the day loop.
+Each replicate's randomness comes from a counter-based stream keyed by
+(seed, replicate index), and every day-loop operation is elementwise, so a
+lane gets the same bits in any block.  Each chunk is reduced on its own, by
+numpy reductions over arrays whose content depends only on the chunk, and
+chunks are folded in ascending index order as they are yielded.  Results are
+therefore bit-identical for any thread count.  One worker steps one chunk
+at a time; more workers step two, where the memory budget allows, because a
+numpy call over 8,192 lanes is too short to hide the hand-off of the GIL
+that every call makes.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +51,7 @@ import numpy as np
 
 from .errors import EmptyConditioningError
 from .policies import ForcedSequenceRule, PolicyRule
-from .sir import CHUNK_SIZE, SirParams, sir_step_arrays
+from .sir import CHUNK_BYTES_BUDGET, CHUNK_SIZE, LANE_BYTES, SirParams, sir_step_arrays
 from .streams import counter_uniform_array, derive_substream_seed, stream_keys
 
 CONDITIONING_MODES = ("full-path", "per-time")
@@ -212,19 +218,58 @@ def _chunk_stats(
     per_time_conditioning: bool,
     keep_samples: bool,
 ):
-    """Simulate replicates [lo, hi) once and reduce them to partial sums for
-    each rule, in the order of `rules`.
+    """Simulate the block of replicates [lo, hi) once, and reduce each of its
+    CHUNK_SIZE-replicate chunks from lo on to partial sums for each rule.
 
-    The day loop runs under the last rule, which must diverge last on every
-    replicate; the others' divergence days are read from its outcomes.  The
-    result is a pure function of the arguments, whichever thread runs the
-    chunk.
+    Returns one list per chunk, in chunk order, of each rule's sums in the
+    order of `rules`.  The day loop runs under the last rule, which must
+    diverge last on every replicate; the others' divergence days are read
+    from its outcomes.  A chunk's sums are a pure function of the arguments
+    and its bounds, whichever block holds it and whichever thread runs it.
     """
     keys = stream_keys(master_seed, np.arange(lo, hi, dtype=np.uint64))
     for _, diverged, outcomes, *_ in simulate(params, rules[-1], keys, target):
         pass
-    days = [_divergence_days(rule, target, outcomes, diverged) for rule in rules[:-1]]
-    return [_reduce(d, outcomes, per_time_conditioning, keep_samples) for d in days + [diverged]]
+    chunks = []
+    for start in range(0, hi - lo, CHUNK_SIZE):
+        rows = slice(start, start + CHUNK_SIZE)
+        days = [_divergence_days(rule, target, outcomes[rows], diverged[rows])
+                for rule in rules[:-1]]
+        chunks.append([_reduce(d, outcomes[rows], per_time_conditioning, keep_samples)
+                       for d in days + [diverged[rows]]])
+    return chunks
+
+
+def _blocks(horizon: int, replicates: int, threads: int):
+    """The worker count, and an iterator over the [lo, hi) replicates of each
+    day-loop block in order.
+
+    One worker steps one chunk per block.  More workers step two consecutive
+    chunks per block where two fit CHUNK_BYTES_BUDGET, but there are never
+    fewer blocks than workers: 4 chunks on 3 workers make blocks of 2, 1, 1.
+    """
+    chunks = -(-replicates // CHUNK_SIZE)
+    workers = min(threads, chunks, os.cpu_count() or 1)
+    pairs = 0
+    if workers > 1 and 2 * CHUNK_SIZE * ((horizon + 1) * 8 + LANE_BYTES) <= CHUNK_BYTES_BUDGET:
+        pairs = chunks - max(workers, (chunks + 1) // 2)
+    split = 2 * pairs * CHUNK_SIZE  # two chunks per block below, one from here on
+    edges = itertools.chain(
+        range(0, split, 2 * CHUNK_SIZE), range(split, replicates, CHUNK_SIZE), (replicates,)
+    )
+    return workers, itertools.pairwise(edges)
+
+
+def _map_ahead(pool, fn, items, window: int):
+    """pool.map(fn, items), submitted `window` items at a time and one window
+    ahead of the consumer, so that the futures and results in flight do not
+    grow with the number of items."""
+    items = iter(items)
+    ahead = pool.map(fn, itertools.islice(items, window))
+    while batch := list(itertools.islice(items, window)):
+        current, ahead = ahead, pool.map(fn, batch)
+        yield from current
+    yield from ahead
 
 
 def _check_arguments(params: SirParams, rules, target, replicates: int, conditioning: str):
@@ -262,11 +307,11 @@ def _run_engine(
     """Every rule's sums over all chunks, each chunk folded in as it is
     yielded, in ascending chunk order."""
     target_arr = _check_arguments(params, rules, target, replicates, conditioning)
-    starts = range(0, replicates, CHUNK_SIZE)
+    workers, blocks = _blocks(params.horizon, replicates, threads)
     per_time = conditioning == "per-time"
 
-    def work(lo):
-        hi = min(lo + CHUNK_SIZE, replicates)
+    def work(block):
+        lo, hi = block
         return _chunk_stats(params, rules, target_arr, master_seed, lo, hi, per_time, keep_samples)
 
     T = params.horizon
@@ -283,20 +328,19 @@ def _run_engine(
     ]
     samples = [[] for _ in rules]
 
-    def fold(chunks):
-        for chunk in chunks:
+    def fold(block_stats):
+        for chunk in itertools.chain.from_iterable(block_stats):
             for total, kept, res in zip(totals, samples, chunk):
                 for field in total:
                     total[field] += res[field]
                 if keep_samples:
                     kept.append(res["samples"])
 
-    workers = min(threads, len(starts), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            fold(pool.map(work, starts))
+            fold(_map_ahead(pool, work, blocks, workers))
     else:
-        fold(map(work, starts))
+        fold(map(work, blocks))
     for total, kept in zip(totals, samples):
         total["samples"] = np.concatenate(kept) if keep_samples else None
     return totals

@@ -51,10 +51,12 @@ from .noise import truncated_normal_transform
 # changes output bytes.
 CHUNK_SIZE = 8192
 
-# Ceiling, in bytes, on one chunk's working set: CHUNK_SIZE lanes of (T+1)
-# float64 outcomes plus LANE_BYTES of per-lane vectors (stream keys,
-# compartments, uniforms, last decision, divergence day and the step's
-# temporaries).  It bounds the horizon; it is not a setting.
+# Ceiling, in bytes, on the working set of one block of the engine's day
+# loop: (T+1) float64 outcomes plus LANE_BYTES of per-lane vectors (stream
+# keys, compartments, uniforms, last decision, divergence day and the step's
+# temporaries) per lane.  A one-chunk block must fit, which bounds the
+# horizon; a worker steps a two-chunk block only where two chunks fit.  It
+# is not a setting.
 CHUNK_BYTES_BUDGET = 512 * 2**20
 LANE_BYTES = 128
 MAX_HORIZON = (CHUNK_BYTES_BUDGET // CHUNK_SIZE - LANE_BYTES) // 8 - 1

@@ -1,6 +1,8 @@
 """Monte Carlo estimator engine: determinism, conditioning, thread safety."""
 
+import collections
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from epibias import montecarlo
 from epibias.errors import EmptyConditioningError
 from epibias.montecarlo import (
     CHUNK_SIZE,
+    CONDITIONING_MODES,
     EstimateResult,
     associational_pass,
     compute_bias_report,
@@ -17,7 +20,7 @@ from epibias.montecarlo import (
     estimate_causal,
 )
 from epibias.policies import ExogenousRule, ThresholdRule
-from epibias.sir import SirParams
+from epibias.sir import CHUNK_BYTES_BUDGET, LANE_BYTES, SirParams
 from epibias.streams import derive_substream_seed, stream_keys
 
 SMALL = SirParams(horizon=10)
@@ -241,7 +244,7 @@ def test_retiring_lanes_matches_full_width_scoring(params, rule, target, per_tim
     lo, hi = 100, 2100
     got, = montecarlo._chunk_stats(
         params, (rule,), np.asarray(target, dtype=np.int8), 5, lo, hi, per_time, True
-    )
+    )[0]
     want = score_full_width(params, rule, target, 5, lo, hi, per_time)
     assert 0 < got["retained"] < hi - lo
     assert got.keys() == want.keys()
@@ -290,7 +293,7 @@ def test_retired_lanes_take_no_steps(monkeypatch, rule, target, all_leave_on_day
     n = 1500
     res, = montecarlo._chunk_stats(
         params, (rule,), np.asarray(target, dtype=np.int8), 9, 0, n, False, False
-    )
+    )[0]
     T = params.horizon
     hist = res["divergence_hist"]
     assert hist.sum() + res["retained"] == n
@@ -352,7 +355,7 @@ def shared_estimates(thresholds, replicates, seed, threads, conditioning):
 def assert_same_estimate(got, want):
     for field in dataclasses.fields(EstimateResult):
         a, b = getattr(got, field.name), getattr(want, field.name)
-        if field.name == "samples":
+        if field.name == "samples" and a is not None:
             assert a.dtype == b.dtype and np.array_equal(a, b)
         elif isinstance(a, tuple):
             assert [x.hex() for x in a] == [x.hex() for x in b], field.name
@@ -421,15 +424,18 @@ def test_shared_pass_rejects_what_it_cannot_score():
         estimate_associational(shared, ThresholdRule(0.03))
 
 
-def test_engine_memory_does_not_grow_with_the_chunk_count(monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_engine_memory_does_not_grow_with_the_chunk_count(monkeypatch, threads):
     # Each chunk's partial sums are folded into the totals as the chunk is
-    # yielded, so a shared pass over 400 chunks peaks where one over 50 does.
+    # yielded, and workers run at most two windows of blocks ahead of the
+    # fold, so a shared pass over 400 chunks peaks where one over 50 does.
     monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 8)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     params = SirParams(horizon=5)
     rules = [ThresholdRule(thr) for thr in sorted(SHARED_THRESHOLDS)]
 
     def peak(chunks):
-        shared = associational_pass(params, rules, (0,) * 5, 8 * chunks, 7)
+        shared = associational_pass(params, rules, (0,) * 5, 8 * chunks, 7, threads)
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         shared.totals
@@ -442,6 +448,100 @@ def test_engine_memory_does_not_grow_with_the_chunk_count(monkeypatch):
     finally:
         tracemalloc.stop()
     assert four_hundred <= 1.5 * fifty
+
+
+# Six chunks, the last of 77 replicates; and three, the last of one.
+BLOCK_EDGE_REPLICATES = [5 * CHUNK_SIZE + 77, 2 * CHUNK_SIZE + 1]
+
+
+def error_text(call):
+    try:
+        call()
+    except EmptyConditioningError as exc:
+        return f"{exc} {exc.first_divergence}"
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("no error raised")
+
+
+@pytest.mark.parametrize("replicates", BLOCK_EDGE_REPLICATES)
+def test_blocks_move_no_bit_at_any_thread_count(monkeypatch, replicates):
+    # Two to four workers step the day loop over blocks of one or two chunks;
+    # each chunk is still reduced alone and folded in ascending order, so
+    # every figure and error reads as with one worker.
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    params = SirParams(horizon=3)
+    rules = [ThresholdRule(thr) for thr in (0.0004, 0.0005, 0.0006)]
+    wide, narrow = ThresholdRule(0.0006), ThresholdRule(0.0004)
+
+    def run(threads):
+        out = [estimate_causal(params, (0,) * 3, replicates, 7, threads)]
+        for conditioning in CONDITIONING_MODES:
+            shared = associational_pass(params, rules, (0,) * 3, replicates, 7, threads,
+                                        conditioning, keep_samples=True)
+            out += [estimate_associational(shared, rule) for rule in rules]
+        report = compute_bias_report(params, ExogenousRule(0.5), (0,) * 3, replicates, 7,
+                                     threads, "per-time")
+        out += [report.causal, report.associational]
+        misordered = associational_pass(params, (wide, narrow), (0,) * 3, replicates, 7, threads)
+        empty = associational_pass(params, [ThresholdRule(1e-7)], (0,) * 3, replicates, 7,
+                                   threads)
+        errors = [error_text(lambda: estimate_associational(misordered, wide)),
+                  error_text(lambda: estimate_associational(empty, empty.rules[0]))]
+        return out, errors
+
+    want, want_errors = run(1)
+    assert all(0 < res.replicates_retained < replicates for res in want[1:7])
+    assert "diverge last" in want_errors[0] and f"{{1: {replicates}}}" in want_errors[1]
+    for threads in (2, 3, 4):
+        got, errors = run(threads)
+        for a, b in zip(got, want):
+            assert_same_estimate(a, b)
+        assert errors == want_errors
+
+
+@pytest.mark.parametrize("threads, widths", [
+    (1, [CHUNK_SIZE] * 5 + [77]),
+    (2, [2 * CHUNK_SIZE] * 2 + [CHUNK_SIZE + 77]),
+    (3, [2 * CHUNK_SIZE] * 2 + [CHUNK_SIZE + 77]),
+    (4, [2 * CHUNK_SIZE] * 2 + [CHUNK_SIZE, 77]),
+])
+def test_each_block_steps_all_its_days_on_one_thread(monkeypatch, threads, widths):
+    # perfbench's tracer takes every horizon-th step call on a thread as the
+    # last day of some block, so each block's T step calls run in a row on
+    # one thread.  Blocks hold at most two chunks, never fewer than workers.
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    params = SirParams(horizon=3)
+    calls = collections.defaultdict(list)
+    step = montecarlo.sir_step_arrays
+
+    def counted(s, *args):
+        calls[threading.get_ident()].append(s.size)
+        return step(s, *args)
+
+    monkeypatch.setattr(montecarlo, "sir_step_arrays", counted)
+    estimate_causal(params, (0,) * 3, 5 * CHUNK_SIZE + 77, 7, threads)
+    T = params.horizon
+    blocks = []
+    for sizes in calls.values():
+        assert len(sizes) % T == 0
+        for k in range(0, len(sizes), T):
+            assert sizes[k : k + T] == [sizes[k]] * T
+            blocks.append(sizes[k])
+    assert sum(len(sizes) for sizes in calls.values()) == T * len(widths)
+    assert sorted(blocks) == sorted(widths)
+
+
+def test_two_chunk_blocks_fit_the_chunk_budget(monkeypatch):
+    # Above this horizon two chunks' outcomes and lane vectors would pass
+    # sir.CHUNK_BYTES_BUDGET, so every block is one chunk.
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    two_fit = (CHUNK_BYTES_BUDGET // (2 * CHUNK_SIZE) - LANE_BYTES) // 8 - 1
+    for horizon, width in [(two_fit, 2 * CHUNK_SIZE), (two_fit + 1, CHUNK_SIZE)]:
+        workers, blocks = montecarlo._blocks(horizon, 8 * CHUNK_SIZE, 2)
+        assert workers == 2
+        assert [hi - lo for lo, hi in blocks] == [width] * (8 * CHUNK_SIZE // width)
+    assert two_fit == 4079
 
 
 def test_divergence_days_reject_a_rule_still_on_the_target():
