@@ -247,6 +247,8 @@ def _blocks(horizon: int, replicates: int, threads: int):
     One worker steps one chunk per block.  More workers step two consecutive
     chunks per block where two fit CHUNK_BYTES_BUDGET, but there are never
     fewer blocks than workers: 4 chunks on 3 workers make blocks of 2, 1, 1.
+    Not more than two, because every chunk a block adds is held by every
+    worker, and two already make each numpy call long enough to overlap.
     """
     chunks = -(-replicates // CHUNK_SIZE)
     workers = min(threads, chunks, os.cpu_count() or 1)
