@@ -39,6 +39,7 @@ from .config import (
 from .errors import (
     ConfigError,
     EmptyConditioningError,
+    InstanceTooLargeError,
     KernelValidationError,
     UndefinedConditionalError,
 )
@@ -279,7 +280,7 @@ def run_oracle(args, config: ExperimentConfig) -> int:
     try:
         dgp = _load_instance(args.instance)
         report = verify_theorem1(dgp, (dgp.treatment_values[0],) * dgp.horizon)
-    except (KernelValidationError, UndefinedConditionalError) as exc:
+    except (KernelValidationError, InstanceTooLargeError, UndefinedConditionalError) as exc:
         # An unreachable target leaves the associational mean undefined.
         print(f"error: {exc}", file=sys.stderr)
         return 2

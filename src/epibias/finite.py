@@ -235,7 +235,7 @@ class FiniteDgp:
                 lambda t, a, y: rows["outcome"][t][a + y],
                 lambda t, a, y: rows["rule"][t][a + y],
             )
-        except KernelValidationError:
+        except (KernelValidationError, InstanceTooLargeError):
             raise
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise KernelValidationError(f"malformed instance data: {exc}") from exc

@@ -25,6 +25,12 @@ target's treatments, so a pass under the rule that diverges last gives every
 rule's divergence days and outcomes (the clone-censor argument for comparing
 dynamic regimes).  A single rule is a one-rule family.
 
+A run of the engine is one value, a `Pass`.  Its arguments are checked once,
+when it is made, and its `totals` step every block and fold every chunk at
+the first read.  The estimators read it: `estimate_causal` makes a one-rule
+pass with no target, and `estimate_associational` reads one rule's estimate
+from the pass that `associational_pass` makes for a family.
+
 Determinism: the chunk of CHUNK_SIZE replicates is the unit of reduction,
 and the block of one or two consecutive chunks is the unit of the day loop.
 Each replicate's randomness comes from a counter-based stream keyed by
@@ -196,7 +202,7 @@ def _reduce(days, outcomes, per_time_conditioning: bool, keep_samples: bool):
         per_t_sums = outcomes[retained_mask, 1:].sum(axis=0)
         per_t_counts = np.full(T, retained, dtype=np.int64)
 
-    y_final = outcomes[retained_mask, T]
+    y_final = outcomes[retained_mask, T]  # a copy: boolean indexing copies
     return {
         "retained": retained,
         "per_t_sums": per_t_sums,
@@ -204,38 +210,32 @@ def _reduce(days, outcomes, per_time_conditioning: bool, keep_samples: bool):
         "final_sum": float(y_final.sum()),
         "final_sumsq": float((y_final * y_final).sum()),
         "divergence_hist": divergence_hist,
-        "samples": y_final.copy() if keep_samples else None,
+        "samples": y_final if keep_samples else None,
     }
 
 
-def _chunk_stats(
-    params: SirParams,
-    rules: Sequence[PolicyRule],
-    target: np.ndarray | None,
-    master_seed: int,
-    lo: int,
-    hi: int,
-    per_time_conditioning: bool,
-    keep_samples: bool,
-):
-    """Simulate the block of replicates [lo, hi) once, and reduce each of its
-    CHUNK_SIZE-replicate chunks from lo on to partial sums for each rule.
+def _chunk_stats(run: Pass, lo: int, hi: int):
+    """Simulate the block of replicates [lo, hi) of `run` once, and reduce
+    each of its CHUNK_SIZE-replicate chunks from lo on to partial sums for
+    each rule.
 
     Returns one list per chunk, in chunk order, of each rule's sums in the
-    order of `rules`.  The day loop runs under the last rule, which must
+    order of `run.rules`.  The day loop runs under the last rule, which must
     diverge last on every replicate; the others' divergence days are read
-    from its outcomes.  A chunk's sums are a pure function of the arguments
-    and its bounds, whichever block holds it and whichever thread runs it.
+    from its outcomes.  A chunk's sums are a pure function of the run and
+    its bounds, whichever block holds it and whichever thread runs it.
     """
-    keys = stream_keys(master_seed, np.arange(lo, hi, dtype=np.uint64))
-    for _, diverged, outcomes, *_ in simulate(params, rules[-1], keys, target):
+    keys = stream_keys(run.master_seed, np.arange(lo, hi, dtype=np.uint64))
+    target = None if run.target is None else np.asarray(run.target, dtype=np.int8)
+    for _, diverged, outcomes, *_ in simulate(run.params, run.rules[-1], keys, target):
         pass
+    per_time = run.conditioning == "per-time"
     chunks = []
     for start in range(0, hi - lo, CHUNK_SIZE):
         rows = slice(start, start + CHUNK_SIZE)
         days = [_divergence_days(rule, target, outcomes[rows], diverged[rows])
-                for rule in rules[:-1]]
-        chunks.append([_reduce(d, outcomes[rows], per_time_conditioning, keep_samples)
+                for rule in run.rules[:-1]]
+        chunks.append([_reduce(d, outcomes[rows], per_time, run.keep_samples)
                        for d in days + [diverged[rows]]])
     return chunks
 
@@ -274,80 +274,6 @@ def _map_ahead(pool, fn, items, window: int):
     yield from ahead
 
 
-def _check_arguments(params: SirParams, rules, target, replicates: int, conditioning: str):
-    """Reject what the engine cannot run; return the target as int8, or None."""
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if conditioning not in CONDITIONING_MODES:
-        raise ValueError(f"conditioning must be one of {CONDITIONING_MODES}, got {conditioning!r}")
-    if not rules:
-        raise ValueError("no rule to simulate")
-    if len(rules) > 1 and any(rule.uses_randomness for rule in rules):
-        # A random rule's decisions depend on its own policy draws, which a
-        # pass under another rule does not make.
-        raise ValueError("a random rule cannot share a pass with other rules")
-    if target is None:
-        return None
-    target_arr = np.asarray(list(target), dtype=np.int8)
-    if target_arr.shape != (params.horizon,):
-        raise ValueError(
-            f"target path length {target_arr.size} does not match horizon {params.horizon}"
-        )
-    return target_arr
-
-
-def _run_engine(
-    params: SirParams,
-    rules: Sequence[PolicyRule],
-    target: Sequence[int] | None,
-    replicates: int,
-    master_seed: int,
-    threads: int,
-    conditioning: str,
-    keep_samples: bool,
-) -> list[dict]:
-    """Every rule's sums over all chunks, each chunk folded in as it is
-    yielded, in ascending chunk order."""
-    target_arr = _check_arguments(params, rules, target, replicates, conditioning)
-    workers, blocks = _blocks(params.horizon, replicates, threads)
-    per_time = conditioning == "per-time"
-
-    def work(block):
-        lo, hi = block
-        return _chunk_stats(params, rules, target_arr, master_seed, lo, hi, per_time, keep_samples)
-
-    T = params.horizon
-    totals = [
-        {
-            "per_t_sums": np.zeros(T),
-            "per_t_counts": np.zeros(T, dtype=np.int64),
-            "divergence_hist": np.zeros(T + 1, dtype=np.int64),
-            "final_sum": 0.0,
-            "final_sumsq": 0.0,
-            "retained": 0,
-        }
-        for _ in rules
-    ]
-    samples = [[] for _ in rules]
-
-    def fold(block_stats):
-        for chunk in itertools.chain.from_iterable(block_stats):
-            for total, kept, res in zip(totals, samples, chunk):
-                for field in total:
-                    total[field] += res[field]
-                if keep_samples:
-                    kept.append(res["samples"])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fold(_map_ahead(pool, work, blocks, workers))
-    else:
-        fold(map(work, blocks))
-    for total, kept in zip(totals, samples):
-        total["samples"] = np.concatenate(kept) if keep_samples else None
-    return totals
-
-
 def _estimate(total: dict, replicates: int) -> EstimateResult:
     """The estimate from one rule's folded sums; raises EmptyConditioningError
     when it retained nothing."""
@@ -378,28 +304,79 @@ def _estimate(total: dict, replicates: int) -> EstimateResult:
 
 
 @dataclass(frozen=True)
-class AssociationalPass:
-    """One associational day-loop pass shared by a family of rules.
+class Pass:
+    """One run of the engine, checked when it is made: a day-loop pass over
+    `replicates` replicates under the last of `rules`, from whose outcomes
+    every rule is scored.
 
-    Made by `associational_pass`; `estimate_associational` reads one rule's
-    estimate from it, and the pass runs at the first such read.
+    `target` is the path the rules are conditioned on, or None to keep every
+    replicate.  `estimate_causal` and `associational_pass` make a pass, and
+    the estimators read its `totals`, which run the pass at the first read.
     """
 
     params: SirParams
     rules: tuple[PolicyRule, ...]
-    target: tuple[int, ...]
+    target: tuple[int, ...] | None
     replicates: int
     master_seed: int
-    threads: int
-    conditioning: str
-    keep_samples: bool
+    threads: int = 1
+    conditioning: str = "full-path"
+    keep_samples: bool = False
+
+    def __post_init__(self):
+        if self.replicates < 1:
+            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.conditioning not in CONDITIONING_MODES:
+            raise ValueError(
+                f"conditioning must be one of {CONDITIONING_MODES}, got {self.conditioning!r}"
+            )
+        if not self.rules:
+            raise ValueError("no rule to simulate")
+        if len(self.rules) > 1 and any(rule.uses_randomness for rule in self.rules):
+            # A random rule's decisions depend on its own policy draws, which a
+            # pass under another rule does not make.
+            raise ValueError("a random rule cannot share a pass with other rules")
+        if self.target is not None:
+            target = np.asarray(self.target, dtype=np.int8)
+            if target.shape != (self.params.horizon,):
+                raise ValueError(
+                    f"target path length {target.size} does not match horizon "
+                    f"{self.params.horizon}"
+                )
 
     @cached_property
     def totals(self) -> list[dict]:
-        return _run_engine(
-            self.params, self.rules, self.target, self.replicates, self.master_seed,
-            self.threads, self.conditioning, self.keep_samples,
-        )
+        """Every rule's sums over all chunks.  Each chunk is folded in as it
+        is yielded, in ascending chunk order, into the first chunk's own
+        sums; that keeps every bit of a fold from zeros, because each sum is
+        an int64 count or a float sum of outcomes 1 - S/N >= +0.0."""
+        workers, blocks = _blocks(self.params.horizon, self.replicates, self.threads)
+
+        def work(block):
+            return _chunk_stats(self, *block)
+
+        def fold(block_stats):
+            chunks = itertools.chain.from_iterable(block_stats)
+            totals = next(chunks)
+            samples = [[total.pop("samples")] for total in totals]
+            for chunk in chunks:
+                for total, kept, res in zip(totals, samples, chunk):
+                    for field in total:
+                        total[field] += res[field]
+                    if self.keep_samples:
+                        kept.append(res["samples"])
+            for total, kept in zip(totals, samples):
+                total["samples"] = np.concatenate(kept) if self.keep_samples else None
+            return totals
+
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return fold(_map_ahead(pool, work, blocks, workers))
+        return fold(map(work, blocks))
 
 
 def associational_pass(
@@ -411,7 +388,7 @@ def associational_pass(
     threads: int = 1,
     conditioning: str = "full-path",
     keep_samples: bool = False,
-) -> AssociationalPass:
+) -> Pass:
     """One associational pass that scores every rule of a family.
 
     The day loop runs under the last rule, and every other rule is scored
@@ -428,10 +405,8 @@ def associational_pass(
     t, a looser conditioning set some analyses prefer for mid-course curves;
     final-time quantities are identical in both modes.
     """
-    rules = tuple(rules)
-    _check_arguments(params, rules, target, replicates, conditioning)
-    return AssociationalPass(
-        params, rules, tuple(int(a) for a in target), replicates, master_seed, threads,
+    return Pass(
+        params, tuple(rules), tuple(int(a) for a in target), replicates, master_seed, threads,
         conditioning, keep_samples,
     )
 
@@ -448,14 +423,11 @@ def estimate_causal(
         raise ValueError(
             f"sequence length {len(sequence)} does not match horizon {params.horizon}"
         )
-    rule = ForcedSequenceRule(sequence)
-    total, = _run_engine(
-        params, (rule,), None, replicates, master_seed, threads, "full-path", keep_samples=False
-    )
-    return _estimate(total, replicates)
+    run = Pass(params, (ForcedSequenceRule(sequence),), None, replicates, master_seed, threads)
+    return _estimate(run.totals[0], replicates)
 
 
-def estimate_associational(shared: AssociationalPass, rule: PolicyRule) -> EstimateResult:
+def estimate_associational(shared: Pass, rule: PolicyRule) -> EstimateResult:
     """E[Y_t | realized treatments == target] under the endogenous `rule`,
     read from a pass made by `associational_pass` that holds `rule`.
 

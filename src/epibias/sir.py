@@ -104,6 +104,8 @@ class SirParams:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma!r}")
         if self.overdispersion < 0:
             raise ValueError(f"overdispersion must be >= 0, got {self.overdispersion!r}")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)):
+            raise ValueError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
         if self.horizon > MAX_HORIZON:

@@ -82,6 +82,9 @@ def derive_substream_seed(master_seed: int, label: int) -> int:
 
     Uses a stride constant different from the replicate-key stride so
     sub-seeds never collide with replicate keys of the parent seed.
+    `master_seed` must lie in [0, 2**64): a wider one would alias another.
     """
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
     return mix64((master_seed + (label + 1) * _SUBSEED) & _MASK64)
 

@@ -191,7 +191,8 @@ MUTATIONS = {
     "null row": (set_row("outcome_kernels", "1", "a=0;y=0", None), "malformed"),
     "nan entry":
         (set_row("outcome_kernels", "1", "a=0;y=0", [float("nan"), 0.5, 0.5]), "non-finite"),
-    "horizon 30": (lambda data: data.update(horizon=30), "path cap"),
+    "horizon 30": (lambda data: data.update(horizon=30),
+                   "error: (3 outcomes x 2 treatments)^30 exceeds the 10000000 path cap"),
     "empty outcome alphabet": (lambda data: data.update(outcome_values=[]), "outside alphabet"),
     "empty treatment alphabet": (lambda data: data.update(treatment_values=[]), "not empty"),
     "kernels not a mapping": (lambda data: data.update(rule_kernels=[]), "malformed"),

@@ -242,9 +242,10 @@ def test_retiring_lanes_matches_full_width_scoring(params, rule, target, per_tim
     # Lanes that leave the target path stop being simulated; every statistic
     # must still equal full-width simulation scored afterwards, bit for bit.
     lo, hi = 100, 2100
-    got, = montecarlo._chunk_stats(
-        params, (rule,), np.asarray(target, dtype=np.int8), 5, lo, hi, per_time, True
-    )[0]
+    conditioning = "per-time" if per_time else "full-path"
+    run = montecarlo.Pass(params, (rule,), target, hi, 5, conditioning=conditioning,
+                          keep_samples=True)
+    got, = montecarlo._chunk_stats(run, lo, hi)[0]
     want = score_full_width(params, rule, target, 5, lo, hi, per_time)
     assert 0 < got["retained"] < hi - lo
     assert got.keys() == want.keys()
@@ -291,9 +292,7 @@ def test_retired_lanes_take_no_steps(monkeypatch, rule, target, all_leave_on_day
     monkeypatch.setattr(montecarlo, "counter_uniform_array", counted_draw)
     monkeypatch.setattr(rule, "decide_batch", counted_decide)
     n = 1500
-    res, = montecarlo._chunk_stats(
-        params, (rule,), np.asarray(target, dtype=np.int8), 9, 0, n, False, False
-    )[0]
+    res, = montecarlo._chunk_stats(montecarlo.Pass(params, (rule,), target, n, 9), 0, n)[0]
     T = params.horizon
     hist = res["divergence_hist"]
     assert hist.sum() + res["retained"] == n
@@ -450,6 +449,53 @@ def test_engine_memory_does_not_grow_with_the_chunk_count(monkeypatch, threads):
     assert four_hundred <= 1.5 * fifty
 
 
+FOLD_RUNS = [
+    pytest.param(SirParams(horizon=6), (ExogenousRule(0.5),), (0, 1, 0, 1, 1, 0), 4,
+                 id="exogenous"),
+    pytest.param(SHARED, tuple(ThresholdRule(thr) for thr in (0.003, 0.01, 0.03)),
+                 SHARED_ZEROS, 0, id="shared"),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("conditioning", CONDITIONING_MODES)
+@pytest.mark.parametrize("params, rules, target, seed", FOLD_RUNS)
+def test_fold_from_the_first_chunk_equals_a_fold_from_zeros(
+    monkeypatch, params, rules, target, seed, conditioning, threads
+):
+    # A pass folds every chunk into the first chunk's own sums.  It must
+    # give the bits of a fold from zeros over fresh chunk sums, also for a
+    # rule whose first chunk retains nothing, and must not add into arrays
+    # that two rules or two chunks share.
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 8)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    T = params.horizon
+    run = montecarlo.Pass(params, rules, target, 8 * 20 + 3, seed, threads, conditioning,
+                          keep_samples=True)
+    want = [{"per_t_sums": np.zeros(T), "per_t_counts": np.zeros(T, dtype=np.int64),
+             "divergence_hist": np.zeros(T + 1, dtype=np.int64), "final_sum": 0.0,
+             "final_sumsq": 0.0, "retained": 0} for _ in rules]
+    samples = [[] for _ in rules]
+    _, blocks = montecarlo._blocks(T, run.replicates, threads)
+    chunks = [chunk for lo, hi in blocks for chunk in montecarlo._chunk_stats(run, lo, hi)]
+    assert chunks[0][0]["retained"] == 0
+    for chunk in chunks:
+        for total, kept, res in zip(want, samples, chunk):
+            for field in total:
+                total[field] += res[field]
+            kept.append(res["samples"])
+    assert run.totals[0]["retained"] > 0
+    for got, total, kept in zip(run.totals, want, samples):
+        assert got.keys() == total.keys() | {"samples"}
+        assert np.array_equal(got["samples"], np.concatenate(kept))
+        for field in ("final_sum", "final_sumsq"):
+            assert got[field].hex() == total[field].hex(), field
+        assert [x.hex() for x in got["per_t_sums"]] == [x.hex() for x in total["per_t_sums"]]
+        for field in ("per_t_counts", "divergence_hist", "retained"):
+            assert np.array_equal(got[field], total[field]), field
+            assert np.asarray(got[field]).dtype == np.asarray(total[field]).dtype, field
+
+
 # Six chunks, the last of 77 replicates; and three, the last of one.
 BLOCK_EDGE_REPLICATES = [5 * CHUNK_SIZE + 77, 2 * CHUNK_SIZE + 1]
 
@@ -553,6 +599,23 @@ def test_divergence_days_reject_a_rule_still_on_the_target():
     np.testing.assert_array_equal(days, [2, 0])
     with pytest.raises(ValueError, match="diverge last"):
         montecarlo._divergence_days(ThresholdRule(0.3), target, outcomes, pass_days)
+
+
+@pytest.mark.parametrize("seed, threads, message", [
+    pytest.param(2**70, 1, "master_seed", id="seed-2**70"),
+    pytest.param(-1, 1, "master_seed", id="seed-minus-1"),
+    pytest.param(5, 0, "threads", id="threads-0"),
+])
+def test_rejects_aliasing_seeds_and_no_threads(seed, threads, message):
+    # Stream keys read a seed's low 64 bits, so 2**70 would run seed 0 and
+    # -1 would run 2**64 - 1; and zero threads would run one worker.
+    rule = ThresholdRule(0.1)
+    with pytest.raises(ValueError, match=message):
+        estimate_causal(SMALL, ZEROS, 100, seed, threads)
+    with pytest.raises(ValueError, match=message):
+        associational_pass(SMALL, [rule], ZEROS, 100, seed, threads)
+    with pytest.raises(ValueError, match=message):
+        compute_bias_report(SMALL, rule, ZEROS, 100, seed, threads)
 
 
 def test_rejects_bad_arguments():

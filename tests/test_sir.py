@@ -150,6 +150,15 @@ def test_param_validation():
                 SirParams(**{name: value})
 
 
+def test_horizon_must_be_an_integer():
+    # A float or bool horizon would pass the range checks and fail mid-run.
+    for value in (3.0, 2.5, True):
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            SirParams(horizon=value)
+    params = SirParams(horizon=np.int64(3))
+    assert estimate_causal(params, (0,) * 3, 10, 1).replicates_retained == 10
+
+
 def test_mid_run_overflow_raises():
     # SirParams accepts the day-1 drifts; the step that overflows raises
     # instead of carrying inf and nan forward.
