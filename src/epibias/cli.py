@@ -128,9 +128,7 @@ def run_figures34(args, config: ExperimentConfig) -> int:
     )
     print(f"causal mean Y_T = {fmt(causal.mean)} ({config.replicates} replicates)")
 
-    # One associational pass scores every threshold.  It runs under the
-    # largest, which the config puts last: an absorbing threshold rule leaves
-    # the all-zero path no earlier than any rule with a smaller threshold.
+    # One associational pass scores every threshold.
     rules = [ThresholdRule(threshold) for threshold in config.thresholds]
     shared = associational_pass(
         params, rules, zeros, config.replicates, derive_substream_seed(config.seed, 1),

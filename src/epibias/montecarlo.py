@@ -19,11 +19,12 @@ compartments freeze, its later outcome columns stay 0, and it is not decided
 or drawn for again.  Every statistic is read from those days and the
 outcomes, bit-identical to simulating all replicates for all T days.
 
-A family of deterministic rules shares one associational pass
-(`associational_pass`): a rule still on the target has seen exactly the
-target's treatments, so a pass under the rule that diverges last gives every
-rule's divergence days and outcomes (the clone-censor argument for comparing
-dynamic regimes).  A single rule is a one-rule family.
+A family of threshold rules on the all-zero target shares one associational
+pass (`associational_pass`): a rule still on the target has seen exactly the
+target's treatments, and y > max threshold implies y > threshold, so a pass
+under the largest threshold gives every rule's divergence days and outcomes
+(the clone-censor argument for comparing dynamic regimes).  Any other rule
+runs alone, as a one-rule family.
 
 A run of the engine is one value, a `Pass`.  Its arguments are checked once,
 when it is made, and its `totals` step every block and fold every chunk at
@@ -56,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyConditioningError
-from .policies import ForcedSequenceRule, PolicyRule
+from .policies import ForcedSequenceRule, PolicyRule, ThresholdRule
 from .sir import CHUNK_BYTES_BUDGET, CHUNK_SIZE, LANE_BYTES, SirParams, sir_step_arrays
 from .streams import counter_uniform_array, derive_substream_seed, stream_keys
 
@@ -100,7 +101,8 @@ def simulate(
     last holds each lane's latest decision, diverged its first-divergence day
     (0 while on the target), outcomes is (n, T+1) with columns filled through
     t (column 0 holds y_0), and s, i, r are the compartments at t.  last,
-    diverged and outcomes are the same objects every day, filled in place.
+    diverged and outcomes are the same objects every day, filled in place,
+    and so are s, i and r once a lane has retired.
 
     Each day the rule sees each live lane's a_{t-1} and y_{t-1}, and draws,
     in stream order, one policy uniform when the rule is random, then the
@@ -155,27 +157,9 @@ def simulate(
         if live is everyone:
             s, i, r = stepped
         else:
-            # New arrays each day, so a caller may keep an earlier day's s, i, r.
-            s, i, r = s.copy(), i.copy(), r.copy()
             s[live], i[live], r[live] = stepped
         outcomes[live, t] = 1.0 - stepped[0] / pop
         yield last, diverged, outcomes, s, i, r
-
-
-def _divergence_days(rule: PolicyRule, target: np.ndarray, outcomes: np.ndarray, pass_days):
-    """Each lane's first-divergence day under `rule`, read from a pass's outcomes.
-
-    Columns from a lane's pass divergence day on are 0, not outcomes, so
-    `rule` must have diverged on every lane the pass retired, no later.
-    """
-    days = rule.divergence_days(target, outcomes)
-    late = (pass_days > 0) & ((days == 0) | (days > pass_days))
-    if late.any():
-        raise ValueError(
-            f"{rule.name} is still on the target on {int(late.sum())} replicates "
-            f"the pass retired: the rule that runs the pass must diverge last"
-        )
-    return days
 
 
 def _reduce(days, outcomes, per_time_conditioning: bool, keep_samples: bool):
@@ -220,23 +204,26 @@ def _chunk_stats(run: Pass, lo: int, hi: int):
     each rule.
 
     Returns one list per chunk, in chunk order, of each rule's sums in the
-    order of `run.rules`.  The day loop runs under the last rule, which must
-    diverge last on every replicate; the others' divergence days are read
-    from its outcomes.  A chunk's sums are a pure function of the run and
-    its bounds, whichever block holds it and whichever thread runs it.
+    order of `run.rules`.  The day loop runs under the only rule, or under
+    the largest threshold of a family, which leaves the all-zero target last;
+    the others' divergence days are read from its outcomes.  A chunk's sums
+    are a pure function of the run and its bounds, whichever block holds it
+    and whichever thread runs it.
     """
     keys = stream_keys(run.master_seed, np.arange(lo, hi, dtype=np.uint64))
     target = None if run.target is None else np.asarray(run.target, dtype=np.int8)
-    for _, diverged, outcomes, *_ in simulate(run.params, run.rules[-1], keys, target):
+    lead = max(run.rules, key=lambda rule: getattr(rule, "threshold", 0.0))
+    for _, diverged, outcomes, *_ in simulate(run.params, lead, keys, target):
         pass
     per_time = run.conditioning == "per-time"
     chunks = []
     for start in range(0, hi - lo, CHUNK_SIZE):
         rows = slice(start, start + CHUNK_SIZE)
-        days = [_divergence_days(rule, target, outcomes[rows], diverged[rows])
-                for rule in run.rules[:-1]]
-        chunks.append([_reduce(d, outcomes[rows], per_time, run.keep_samples)
-                       for d in days + [diverged[rows]]])
+        chunks.append([
+            _reduce(diverged[rows] if rule is lead else rule.divergence_days(outcomes[rows]),
+                    outcomes[rows], per_time, run.keep_samples)
+            for rule in run.rules
+        ])
     return chunks
 
 
@@ -306,12 +293,13 @@ def _estimate(total: dict, replicates: int) -> EstimateResult:
 @dataclass(frozen=True)
 class Pass:
     """One run of the engine, checked when it is made: a day-loop pass over
-    `replicates` replicates under the last of `rules`, from whose outcomes
+    `replicates` replicates under one rule, or under the largest threshold of
+    a family of `ThresholdRule`s on the all-zero target, from whose outcomes
     every rule is scored.
 
-    `target` is the path the rules are conditioned on, or None to keep every
-    replicate.  `estimate_causal` and `associational_pass` make a pass, and
-    the estimators read its `totals`, which run the pass at the first read.
+    `target` is the 0/1 path the rules are conditioned on, or None to keep
+    every replicate.  `estimate_causal` and `associational_pass` make a pass,
+    and the estimators read its `totals`, which run the pass at the first read.
     """
 
     params: SirParams
@@ -324,6 +312,10 @@ class Pass:
     keep_samples: bool = False
 
     def __post_init__(self):
+        for name in ("replicates", "master_seed", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if not 0 <= self.master_seed < 1 << 64:
@@ -336,17 +328,22 @@ class Pass:
             )
         if not self.rules:
             raise ValueError("no rule to simulate")
-        if len(self.rules) > 1 and any(rule.uses_randomness for rule in self.rules):
-            # A random rule's decisions depend on its own policy draws, which a
-            # pass under another rule does not make.
-            raise ValueError("a random rule cannot share a pass with other rules")
         if self.target is not None:
-            target = np.asarray(self.target, dtype=np.int8)
-            if target.shape != (self.params.horizon,):
+            if len(self.target) != self.params.horizon:
                 raise ValueError(
-                    f"target path length {target.size} does not match horizon "
+                    f"target path length {len(self.target)} does not match horizon "
                     f"{self.params.horizon}"
                 )
+            if any(a not in (0, 1) for a in self.target):
+                raise ValueError(f"target treatments must be 0 or 1, got {self.target!r}")
+        if len(self.rules) > 1 and (
+            not all(isinstance(rule, ThresholdRule) for rule in self.rules)
+            or self.target is None or any(self.target)
+        ):
+            raise ValueError(
+                "only threshold rules on the all-zero target can share a pass, "
+                f"got {[rule.name for rule in self.rules]} on {self.target!r}"
+            )
 
     @cached_property
     def totals(self) -> list[dict]:
@@ -391,13 +388,11 @@ def associational_pass(
 ) -> Pass:
     """One associational pass that scores every rule of a family.
 
-    The day loop runs under the last rule, and every other rule is scored
-    from its outcomes.  That is exact when the rules are deterministic and the
-    last one diverges from the target last on every replicate: a rule still
-    on the target has seen exactly the target's treatments, and so the same
-    outcomes.  For absorbing threshold rules and the all-zero target that is
-    the largest threshold.  Random rules cannot share a pass, and a rule
-    found on the target where the last one left it raises ValueError.
+    A family of more than one rule must be `ThresholdRule`s on the all-zero
+    target, in any order.  The day loop runs under the largest threshold,
+    which leaves the target last on every replicate, and every other rule is
+    scored from its outcomes: a rule still on the target has seen exactly
+    the target's treatments, and so the same outcomes.
 
     conditioning="full-path" retains a trajectory for all t only if its whole
     treatment path matches the target (the default).  "per-time" computes the
@@ -406,8 +401,8 @@ def associational_pass(
     final-time quantities are identical in both modes.
     """
     return Pass(
-        params, tuple(rules), tuple(int(a) for a in target), replicates, master_seed, threads,
-        conditioning, keep_samples,
+        params, tuple(rules), tuple(target), replicates, master_seed, threads, conditioning,
+        keep_samples,
     )
 
 

@@ -39,26 +39,6 @@ class PolicyRule:
         """
         raise NotImplementedError
 
-    def divergence_days(self, target: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-        """Each lane's first day t with a_t != target[t-1] under this rule, 0 if none.
-
-        target: (T,) int8 path; outcomes: (n, T+1) with y_{t-1} in column
-        t-1.  A lane still on the target after day t-1 has a_{t-1} =
-        target[t-2] (0 on day 1), so its day-t decision needs only y_{t-1}.
-        Deterministic rules only.  This default decides day by day.
-        """
-        n, T = outcomes.shape[0], outcomes.shape[1] - 1
-        days = np.zeros(n, dtype=np.int64)
-        lanes = np.arange(n)
-        for t in range(1, T + 1):
-            if not lanes.size:
-                break
-            last = np.full(lanes.size, target[t - 2] if t > 1 else 0, dtype=np.int8)
-            leaves = self.decide_batch(t, last, outcomes[lanes, t - 1], None) != target[t - 1]
-            days[lanes[leaves]] = t
-            lanes = lanes[~leaves]
-        return days
-
 
 class ThresholdRule(PolicyRule):
     """Self-triggering rule: intervene from the first time the outcome crosses
@@ -80,11 +60,10 @@ class ThresholdRule(PolicyRule):
     def decide_batch(self, t, last, y, u=None) -> np.ndarray:
         return ((last != 0) | (y > self.threshold)).astype(np.int8)
 
-    def divergence_days(self, target, outcomes) -> np.ndarray:
-        """On the all-zero target a lane leaves on the first day t with
-        y_{t-1} > threshold, read off all days at once."""
-        if target.any():
-            return super().divergence_days(target, outcomes)
+    def divergence_days(self, outcomes: np.ndarray) -> np.ndarray:
+        """Each lane's first day t with y_{t-1} > threshold, 0 if none: the
+        day it leaves the all-zero target, read off all days at once from
+        (n, T+1) outcomes with y_{t-1} in column t-1."""
         # Compared in full rows, which is faster than over the strided
         # columns 0..T-1; a first crossing in column T is no crossing.
         crossed = outcomes > self.threshold

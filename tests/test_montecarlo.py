@@ -19,7 +19,7 @@ from epibias.montecarlo import (
     estimate_associational,
     estimate_causal,
 )
-from epibias.policies import ExogenousRule, ThresholdRule
+from epibias.policies import ExogenousRule, ForcedSequenceRule, ThresholdRule
 from epibias.sir import CHUNK_BYTES_BUDGET, LANE_BYTES, SirParams
 from epibias.streams import derive_substream_seed, stream_keys
 
@@ -336,11 +336,12 @@ SHARED_ZEROS = (0,) * SHARED.horizon
 
 
 def shared_estimates(thresholds, replicates, seed, threads, conditioning):
-    """Every threshold's estimate read from one shared pass (None when empty)."""
+    """Every threshold's estimate read from one shared pass made with the
+    rules in the order given (the first divergence when empty)."""
     rules = {thr: ThresholdRule(thr) for thr in thresholds}
     shared = associational_pass(
-        SHARED, sorted(rules.values(), key=lambda rule: rule.threshold), SHARED_ZEROS,
-        replicates, seed, threads, conditioning, keep_samples=True,
+        SHARED, list(rules.values()), SHARED_ZEROS, replicates, seed, threads, conditioning,
+        keep_samples=True,
     )
     out = {}
     for thr, rule in rules.items():
@@ -408,17 +409,24 @@ def test_shared_pass_steps_like_the_widest_rule(monkeypatch):
     assert shared_lanes == lanes
 
 
-def test_shared_pass_rejects_what_it_cannot_score():
-    wide, narrow = ThresholdRule(0.03), ThresholdRule(0.003)
-    args = (SHARED_ZEROS, 2000, 7)
-    # The pass runs under the last rule; here it retires lanes the first
-    # rule still follows.
-    misordered = associational_pass(SHARED, (wide, narrow), *args)
-    with pytest.raises(ValueError, match="diverge last"):
-        estimate_associational(misordered, wide)
-    with pytest.raises(ValueError, match="random rule"):
-        associational_pass(SHARED, (ExogenousRule(0.5), wide), *args)
-    shared = associational_pass(SHARED, (narrow, wide), *args)
+@pytest.mark.parametrize("rules, target", [
+    pytest.param((ExogenousRule(0.5), ThresholdRule(0.03)), SHARED_ZEROS, id="exogenous"),
+    pytest.param((ForcedSequenceRule(SHARED_ZEROS), ThresholdRule(0.03)), SHARED_ZEROS,
+                 id="forced"),
+    pytest.param((ThresholdRule(0.003), ThresholdRule(0.03)), (0,) * 29 + (1,),
+                 id="nonzero-target"),
+    pytest.param((ThresholdRule(0.003), ThresholdRule(0.03)), None, id="no-target"),
+])
+def test_shared_pass_rejects_what_it_cannot_score(rules, target):
+    # Only threshold rules on the all-zero target share a pass: there the
+    # largest threshold leaves the target last on every replicate.
+    with pytest.raises(ValueError, match="only threshold rules"):
+        montecarlo.Pass(SHARED, rules, target, 2000, 7)
+
+
+def test_a_shared_pass_reads_only_its_own_rules():
+    narrow, wide = ThresholdRule(0.003), ThresholdRule(0.03)
+    shared = associational_pass(SHARED, (narrow, wide), SHARED_ZEROS, 2000, 7)
     with pytest.raises(ValueError, match="not a rule"):
         estimate_associational(shared, ThresholdRule(0.03))
 
@@ -518,7 +526,6 @@ def test_blocks_move_no_bit_at_any_thread_count(monkeypatch, replicates):
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
     params = SirParams(horizon=3)
     rules = [ThresholdRule(thr) for thr in (0.0004, 0.0005, 0.0006)]
-    wide, narrow = ThresholdRule(0.0006), ThresholdRule(0.0004)
 
     def run(threads):
         out = [estimate_causal(params, (0,) * 3, replicates, 7, threads)]
@@ -526,19 +533,22 @@ def test_blocks_move_no_bit_at_any_thread_count(monkeypatch, replicates):
             shared = associational_pass(params, rules, (0,) * 3, replicates, 7, threads,
                                         conditioning, keep_samples=True)
             out += [estimate_associational(shared, rule) for rule in rules]
+            # Listed widest first, the family still runs under the widest.
+            misordered = associational_pass(params, rules[::-1], (0,) * 3, replicates, 7,
+                                            threads, conditioning, keep_samples=True)
+            for rule, want in zip(rules, out[-3:]):
+                assert_same_estimate(estimate_associational(misordered, rule), want)
         report = compute_bias_report(params, ExogenousRule(0.5), (0,) * 3, replicates, 7,
                                      threads, "per-time")
         out += [report.causal, report.associational]
-        misordered = associational_pass(params, (wide, narrow), (0,) * 3, replicates, 7, threads)
         empty = associational_pass(params, [ThresholdRule(1e-7)], (0,) * 3, replicates, 7,
                                    threads)
-        errors = [error_text(lambda: estimate_associational(misordered, wide)),
-                  error_text(lambda: estimate_associational(empty, empty.rules[0]))]
+        errors = [error_text(lambda: estimate_associational(empty, empty.rules[0]))]
         return out, errors
 
     want, want_errors = run(1)
     assert all(0 < res.replicates_retained < replicates for res in want[1:7])
-    assert "diverge last" in want_errors[0] and f"{{1: {replicates}}}" in want_errors[1]
+    assert f"{{1: {replicates}}}" in want_errors[0]
     for threads in (2, 3, 4):
         got, errors = run(threads)
         for a, b in zip(got, want):
@@ -590,17 +600,6 @@ def test_two_chunk_blocks_fit_the_chunk_budget(monkeypatch):
     assert two_fit == 4079
 
 
-def test_divergence_days_reject_a_rule_still_on_the_target():
-    # The pass (threshold 0.1) retired lane 0 on day 2 and zeroed its later
-    # columns; a rule that has not left by then cannot be read from it.
-    outcomes = np.array([[0.0, 0.2, 0.0], [0.0, 0.01, 0.02]])
-    target, pass_days = np.zeros(2, dtype=np.int8), np.array([2, 0])
-    days = montecarlo._divergence_days(ThresholdRule(0.05), target, outcomes, pass_days)
-    np.testing.assert_array_equal(days, [2, 0])
-    with pytest.raises(ValueError, match="diverge last"):
-        montecarlo._divergence_days(ThresholdRule(0.3), target, outcomes, pass_days)
-
-
 @pytest.mark.parametrize("seed, threads, message", [
     pytest.param(2**70, 1, "master_seed", id="seed-2**70"),
     pytest.param(-1, 1, "master_seed", id="seed-minus-1"),
@@ -623,3 +622,31 @@ def test_rejects_bad_arguments():
         estimate_causal(SMALL, ZEROS, 0, 1)
     with pytest.raises(ValueError):
         estimate_causal(SMALL, (0,) * 3, 100, 1)  # wrong sequence length
+
+
+@pytest.mark.parametrize("replicates, seed, threads, message", [
+    pytest.param(100.0, 5, 1, "replicates", id="replicates-float"),
+    pytest.param(100, 3.0, 1, "master_seed", id="seed-float"),
+    pytest.param(100, 5, 2.5, "threads", id="threads-float"),
+    pytest.param(100, 5, True, "threads", id="threads-bool"),
+])
+def test_rejects_non_integer_counts(replicates, seed, threads, message):
+    # A float count would fail only at the first read, deep in numpy or the
+    # streams, and a float or bool thread count would run without complaint.
+    with pytest.raises(ValueError, match=message):
+        estimate_causal(SMALL, ZEROS, replicates, seed, threads)
+    with pytest.raises(ValueError, match=message):
+        associational_pass(SMALL, [ThresholdRule(0.1)], ZEROS, replicates, seed, threads)
+
+
+def test_accepts_numpy_integer_counts():
+    got = estimate_causal(SMALL, ZEROS, np.int64(100), np.uint64(5), np.int32(2))
+    assert_same_estimate(got, estimate_causal(SMALL, ZEROS, 100, 5, 2))
+
+
+@pytest.mark.parametrize("entry", [0.5, 300])
+def test_rejects_a_target_entry_other_than_0_or_1(entry):
+    # 0.5 once ran the all-zero target, truncated; 300 overflowed int8.
+    target = (0, entry) + (0,) * (SMALL.horizon - 2)
+    with pytest.raises(ValueError, match="0 or 1"):
+        associational_pass(SMALL, [ThresholdRule(0.1)], target, 100, 5)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epibias.errors import SequenceExhaustedError
-from epibias.policies import ExogenousRule, ForcedSequenceRule, PolicyRule, ThresholdRule
+from epibias.policies import ExogenousRule, ForcedSequenceRule, ThresholdRule
 from epibias.streams import counter_uniform_array, stream_keys
 
 
@@ -157,28 +157,11 @@ def pass_outcomes(seed, n=300, T=12):
 @pytest.mark.parametrize("threshold", FIGURES34_THRESHOLDS)
 def test_threshold_divergence_days_match_the_day_loop(seed, threshold):
     # On the all-zero target ThresholdRule reads every lane's first crossing
-    # at once; it must equal both the rule-generic day loop and a per-lane
-    # walk, ties and zeroed tails included.
+    # at once; it must equal a per-lane walk, ties and zeroed tails included.
     outcomes = pass_outcomes(seed)
     rule = ThresholdRule(threshold)
     target = np.zeros(outcomes.shape[1] - 1, dtype=np.int8)
-    days = rule.divergence_days(target, outcomes)
+    days = rule.divergence_days(outcomes)
     assert days.dtype == np.int64
-    np.testing.assert_array_equal(days, PolicyRule.divergence_days(rule, target, outcomes))
     np.testing.assert_array_equal(days, divergence_days_per_lane(rule, target, outcomes))
     assert 0 < (days == 0).sum() < days.size
-
-
-@pytest.mark.parametrize(
-    "rule, target",
-    [
-        pytest.param(ThresholdRule(0.15), (0,) * 5 + (1,) * 7, id="threshold-nonzero-target"),
-        pytest.param(ForcedSequenceRule((0, 0, 1) * 4), (0,) * 6 + (1,) * 6, id="forced"),
-    ],
-)
-def test_other_divergence_days_use_the_day_loop(rule, target):
-    outcomes = pass_outcomes(7)
-    target = np.array(target, dtype=np.int8)
-    days = rule.divergence_days(target, outcomes)
-    np.testing.assert_array_equal(days, divergence_days_per_lane(rule, target, outcomes))
-    assert days.any()
