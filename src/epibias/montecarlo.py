@@ -37,12 +37,12 @@ and the block of one or two consecutive chunks is the unit of the day loop.
 Each replicate's randomness comes from a counter-based stream keyed by
 (seed, replicate index), and every day-loop operation is elementwise, so a
 lane gets the same bits in any block.  Each chunk is reduced on its own, by
-numpy reductions over arrays whose content depends only on the chunk, and
-chunks are folded in ascending index order as they are yielded.  Results are
-therefore bit-identical for any thread count.  One worker steps one chunk
-at a time; more workers step two, where the memory budget allows, because a
-numpy call over 8,192 lanes is too short to hide the hand-off of the GIL
-that every call makes.
+numpy reductions over arrays whose content depends only on the chunk, to one
+`Sums` per rule, and these are merged in ascending chunk order as they are
+yielded.  Results are therefore bit-identical for any thread count.  One
+worker steps one chunk at a time; more workers step two, where the memory
+budget allows, because a numpy call over 8,192 lanes is too short to hide
+the hand-off of the GIL that every call makes.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -59,7 +59,7 @@ import numpy as np
 from .errors import EmptyConditioningError
 from .policies import ForcedSequenceRule, PolicyRule, ThresholdRule
 from .sir import CHUNK_BYTES_BUDGET, CHUNK_SIZE, LANE_BYTES, SirParams, sir_step_arrays
-from .streams import counter_uniform_array, derive_substream_seed, stream_keys
+from .streams import checked_integer, counter_uniform_array, derive_substream_seed, stream_keys
 
 CONDITIONING_MODES = ("full-path", "per-time")
 
@@ -90,6 +90,24 @@ class BiasReport:
     associational: EstimateResult
     bias: float
     bias_evolution: tuple[float, ...]  # associational minus causal per-time means, t = 1..T
+
+
+@dataclass(frozen=True)
+class Sums:
+    """One rule's sums over one chunk, or over consecutive chunks in order.
+    samples holds each chunk's retained Y_T when they are kept, else nothing."""
+
+    retained: int
+    per_t_sums: np.ndarray
+    per_t_counts: np.ndarray
+    final_sum: float
+    final_sumsq: float
+    divergence_hist: np.ndarray
+    samples: tuple[np.ndarray, ...]
+
+    def merge(self, later: Sums) -> Sums:
+        """These sums followed by `later`'s, as fresh values: every field adds."""
+        return Sums(**{name: value + getattr(later, name) for name, value in vars(self).items()})
 
 
 def simulate(
@@ -162,12 +180,13 @@ def simulate(
         yield last, diverged, outcomes, s, i, r
 
 
-def _reduce(days, outcomes, per_time_conditioning: bool, keep_samples: bool):
-    """One rule's partial sums from its divergence days and a pass's outcomes.
+def _reduce(days, outcomes, per_time_conditioning: bool, keep_samples: bool, zeroed: bool):
+    """One rule's `Sums` from its divergence days and a pass's outcomes.
 
-    A replicate diverging on day d counts at times before d.  Its columns from
-    d on enter per-time sums as +0.0: masked here, which changes no bits for
-    the pass's own rule, whose retired rows already hold +0.0 from day d.
+    A replicate diverging on day d counts at times before d.  Per-time sums
+    mask its columns from d on, unless `zeroed` (the pass retired it, so they
+    hold +0.0), which keeps every bit also at T = 1, where numpy sums the one
+    column pairwise and a mask would change the pairs.
     """
     n, T = outcomes.shape[0], outcomes.shape[1] - 1
     retained_mask = days == 0
@@ -176,32 +195,25 @@ def _reduce(days, outcomes, per_time_conditioning: bool, keep_samples: bool):
     # With no row retired the two modes coincide, and the sums read
     # `outcomes` in place instead of copying every row.
     if per_time_conditioning or retained == n:
-        columns = outcomes[:, 1:]
-        if retained < n:
+        live = True
+        if retained < n and not zeroed:
             live_until = np.where(retained_mask, T + 1, days)
-            columns = np.where(np.arange(1, T + 1) < live_until[:, None], columns, 0.0)
-        per_t_sums = columns.sum(axis=0)
+            live = np.arange(1, T + 1) < live_until[:, None]
+        per_t_sums = outcomes[:, 1:].sum(axis=0, where=live)
         per_t_counts = n - np.cumsum(divergence_hist[1:])
     else:
         per_t_sums = outcomes[retained_mask, 1:].sum(axis=0)
         per_t_counts = np.full(T, retained, dtype=np.int64)
 
     y_final = outcomes[retained_mask, T]  # a copy: boolean indexing copies
-    return {
-        "retained": retained,
-        "per_t_sums": per_t_sums,
-        "per_t_counts": per_t_counts,
-        "final_sum": float(y_final.sum()),
-        "final_sumsq": float((y_final * y_final).sum()),
-        "divergence_hist": divergence_hist,
-        "samples": y_final if keep_samples else None,
-    }
+    return Sums(retained, per_t_sums, per_t_counts, float(y_final.sum()),
+                float((y_final * y_final).sum()), divergence_hist,
+                (y_final,) if keep_samples else ())
 
 
 def _chunk_stats(run: Pass, lo: int, hi: int):
     """Simulate the block of replicates [lo, hi) of `run` once, and reduce
-    each of its CHUNK_SIZE-replicate chunks from lo on to partial sums for
-    each rule.
+    each of its CHUNK_SIZE-replicate chunks from lo on to `Sums` for each rule.
 
     Returns one list per chunk, in chunk order, of each rule's sums in the
     order of `run.rules`.  The day loop runs under the only rule, or under
@@ -221,7 +233,7 @@ def _chunk_stats(run: Pass, lo: int, hi: int):
         rows = slice(start, start + CHUNK_SIZE)
         chunks.append([
             _reduce(diverged[rows] if rule is lead else rule.divergence_days(outcomes[rows]),
-                    outcomes[rows], per_time, run.keep_samples)
+                    outcomes[rows], per_time, run.keep_samples, rule is lead)
             for rule in run.rules
         ])
     return chunks
@@ -261,24 +273,23 @@ def _map_ahead(pool, fn, items, window: int):
     yield from ahead
 
 
-def _estimate(total: dict, replicates: int) -> EstimateResult:
-    """The estimate from one rule's folded sums; raises EmptyConditioningError
+def _estimate(total: Sums, replicates: int) -> EstimateResult:
+    """The estimate from one rule's total sums; raises EmptyConditioningError
     when it retained nothing."""
-    retained = total["retained"]
+    retained = total.retained
     if retained == 0:
-        hist = {int(t): int(c) for t, c in enumerate(total["divergence_hist"]) if c > 0}
+        hist = {int(t): int(c) for t, c in enumerate(total.divergence_hist) if c > 0}
         raise EmptyConditioningError(replicates, hist)
 
-    mean = total["final_sum"] / retained
+    mean = total.final_sum / retained
     if retained > 1:
-        var = max(total["final_sumsq"] - retained * mean * mean, 0.0) / (retained - 1)
+        var = max(total.final_sumsq - retained * mean * mean, 0.0) / (retained - 1)
         std_error = float(np.sqrt(var / retained))
     else:
         std_error = 0.0
 
-    per_t_counts = total["per_t_counts"]
-    with np.errstate(invalid="ignore"):
-        per_time_means = np.where(per_t_counts > 0, total["per_t_sums"] / per_t_counts, np.nan)
+    # Every per-time count is at least `retained`, so none is 0 here.
+    per_time_means = total.per_t_sums / total.per_t_counts
 
     return EstimateResult(
         mean=mean,
@@ -286,7 +297,7 @@ def _estimate(total: dict, replicates: int) -> EstimateResult:
         replicates_total=replicates,
         replicates_retained=retained,
         per_time_means=tuple(float(m) for m in per_time_means),
-        samples=total["samples"],
+        samples=np.concatenate(total.samples) if total.samples else None,
     )
 
 
@@ -312,16 +323,9 @@ class Pass:
     keep_samples: bool = False
 
     def __post_init__(self):
-        for name in ("replicates", "master_seed", "threads"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if not 0 <= self.master_seed < 1 << 64:
-            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        checked_integer("replicates", self.replicates, 1)
+        checked_integer("master_seed", self.master_seed, 0)
+        checked_integer("threads", self.threads, 1)
         if self.conditioning not in CONDITIONING_MODES:
             raise ValueError(
                 f"conditioning must be one of {CONDITIONING_MODES}, got {self.conditioning!r}"
@@ -346,11 +350,11 @@ class Pass:
             )
 
     @cached_property
-    def totals(self) -> list[dict]:
-        """Every rule's sums over all chunks.  Each chunk is folded in as it
-        is yielded, in ascending chunk order, into the first chunk's own
-        sums; that keeps every bit of a fold from zeros, because each sum is
-        an int64 count or a float sum of outcomes 1 - S/N >= +0.0."""
+    def totals(self) -> list[Sums]:
+        """Every rule's sums over all chunks, merged as each chunk is yielded,
+        in ascending chunk order from the first chunk's own.  A merge is pure,
+        writing nothing in place, and keeps every bit of a fold from zeros,
+        since each sum is an int64 count or a float sum of outcomes >= +0.0."""
         workers, blocks = _blocks(self.params.horizon, self.replicates, self.threads)
 
         def work(block):
@@ -358,17 +362,7 @@ class Pass:
 
         def fold(block_stats):
             chunks = itertools.chain.from_iterable(block_stats)
-            totals = next(chunks)
-            samples = [[total.pop("samples")] for total in totals]
-            for chunk in chunks:
-                for total, kept, res in zip(totals, samples, chunk):
-                    for field in total:
-                        total[field] += res[field]
-                    if self.keep_samples:
-                        kept.append(res["samples"])
-            for total, kept in zip(totals, samples):
-                total["samples"] = np.concatenate(kept) if self.keep_samples else None
-            return totals
+            return reduce(lambda totals, chunk: list(map(Sums.merge, totals, chunk)), chunks)
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -158,10 +158,9 @@ def sir_step_arrays(s, i, r, params: SirParams, a, u1, u2):
                 0.0, params.overdispersion * new_rec, -new_rec, i_next, u2
             )
 
+            # No clamp: each eps is at most the array it leaves, and x - y >= +0 if y <= x.
             s_next -= eps1
-            np.maximum(s_next, 0.0, out=s_next)
             i_next -= eps2
-            np.maximum(i_next, 0.0, out=i_next)
             r_next = r + new_rec
             r_next += eps2
     except FloatingPointError as exc:

@@ -77,14 +77,21 @@ def counter_uniform_array(keys: np.ndarray, counter: int) -> np.ndarray:
     return _to_unit_array(mix64_array(keys + stride))
 
 
+def checked_integer(name: str, value, low: int) -> int:
+    """`value` as an int; ValueError unless it is an integer, not a bool, in
+    [low, 2**64): keys read a seed's low 64 bits, so a wider one would alias."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not (
+            low <= value <= _MASK64):
+        raise ValueError(f"{name} must be an integer in [{low}, 2**64), got {value!r}")
+    return int(value)
+
+
 def derive_substream_seed(master_seed: int, label: int) -> int:
     """A 64-bit sub-seed for an independent purpose (e.g. a second estimator).
 
     Uses a stride constant different from the replicate-key stride so
     sub-seeds never collide with replicate keys of the parent seed.
-    `master_seed` must lie in [0, 2**64): a wider one would alias another.
     """
-    if not 0 <= master_seed <= _MASK64:
-        raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
-    return mix64((master_seed + (label + 1) * _SUBSEED) & _MASK64)
+    seed = checked_integer("master_seed", master_seed, 0)
+    return mix64((seed + (label + 1) * _SUBSEED) & _MASK64)
 

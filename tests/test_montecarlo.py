@@ -215,15 +215,15 @@ def score_full_width(params, rule, target, seed, lo, hi, per_time):
         per_t_counts = np.full(T, retained.sum())
     first_div = on_path.sum(axis=1) + 1  # day of the first mismatch
     y_final = outcomes[retained, T]
-    return {
-        "retained": int(retained.sum()),
-        "per_t_sums": per_t_sums,
-        "per_t_counts": per_t_counts,
-        "final_sum": float(y_final.sum()),
-        "final_sumsq": float((y_final * y_final).sum()),
-        "divergence_hist": np.bincount(first_div[~retained], minlength=T + 1),
-        "samples": y_final,
-    }
+    return montecarlo.Sums(
+        retained=int(retained.sum()),
+        per_t_sums=per_t_sums,
+        per_t_counts=per_t_counts,
+        final_sum=float(y_final.sum()),
+        final_sumsq=float((y_final * y_final).sum()),
+        divergence_hist=np.bincount(first_div[~retained], minlength=T + 1),
+        samples=(y_final,),
+    )
 
 
 RETIREMENT_CASES = [
@@ -234,6 +234,9 @@ RETIREMENT_CASES = [
                  id="exogenous"),
     pytest.param(SirParams(horizon=6), ExogenousRule(0.5), (0, 1, 0, 1, 1, 0), True,
                  id="exogenous-per-time"),
+    # One column is summed pairwise, where a mask would change the pairs.
+    pytest.param(SirParams(horizon=1, beta=3.0, overdispersion=100.0), ExogenousRule(0.3), (0,),
+                 True, id="one-day-per-time"),
 ]
 
 
@@ -247,11 +250,11 @@ def test_retiring_lanes_matches_full_width_scoring(params, rule, target, per_tim
                           keep_samples=True)
     got, = montecarlo._chunk_stats(run, lo, hi)[0]
     want = score_full_width(params, rule, target, 5, lo, hi, per_time)
-    assert 0 < got["retained"] < hi - lo
-    assert got.keys() == want.keys()
-    for field in want:
-        assert np.array_equal(got[field], want[field]), field
-        assert np.asarray(got[field]).dtype.kind == np.asarray(want[field]).dtype.kind, field
+    assert 0 < got.retained < hi - lo
+    for field in dataclasses.fields(montecarlo.Sums):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.array_equal(a, b), field.name
+        assert np.asarray(a).dtype.kind == np.asarray(b).dtype.kind, field.name
 
 
 @pytest.mark.parametrize(
@@ -294,13 +297,13 @@ def test_retired_lanes_take_no_steps(monkeypatch, rule, target, all_leave_on_day
     n = 1500
     res, = montecarlo._chunk_stats(montecarlo.Pass(params, (rule,), target, n, 9), 0, n)[0]
     T = params.horizon
-    hist = res["divergence_hist"]
-    assert hist.sum() + res["retained"] == n
+    hist = res.divergence_hist
+    assert hist.sum() + res.retained == n
     assert (hist[1] == n) == all_leave_on_day_1
     assert len(lanes) == T and len(decided) == T
     days = np.arange(T + 1)
-    assert sum(lanes) == (hist * (days - 1)).sum() + res["retained"] * T
-    assert sum(decided) == (hist * days).sum() + res["retained"] * T
+    assert sum(lanes) == (hist * (days - 1)).sum() + res.retained * T
+    assert sum(decided) == (hist * days).sum() + res.retained * T
     assert policy_draws == (decided if rule.uses_randomness else [])
     assert sum(draws) == sum(policy_draws) + 2 * sum(lanes)
 
@@ -457,6 +460,29 @@ def test_engine_memory_does_not_grow_with_the_chunk_count(monkeypatch, threads):
     assert four_hundred <= 1.5 * fifty
 
 
+def test_per_time_sums_copy_no_outcomes():
+    # Per-time sums leave retired columns out by a mask, not a masked copy of
+    # the (n, T) outcomes, so a six-threshold pass at T = 1,000 peaks where
+    # the same pass under full-path conditioning does.
+    rules = [ThresholdRule(thr) for thr in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)]
+
+    def peak(horizon, conditioning):
+        shared = associational_pass(SirParams(horizon=horizon), rules, (0,) * horizon,
+                                    CHUNK_SIZE, 7, 1, conditioning)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        shared.totals
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        peak(5, "per-time")  # leave one-time allocations, scipy's import too, out of both
+        full_path, per_time = peak(1000, "full-path"), peak(1000, "per-time")
+    finally:
+        tracemalloc.stop()
+    assert per_time <= 1.02 * full_path
+
+
 FOLD_RUNS = [
     pytest.param(SirParams(horizon=6), (ExogenousRule(0.5),), (0, 1, 0, 1, 1, 0), 4,
                  id="exogenous"),
@@ -471,37 +497,48 @@ FOLD_RUNS = [
 def test_fold_from_the_first_chunk_equals_a_fold_from_zeros(
     monkeypatch, params, rules, target, seed, conditioning, threads
 ):
-    # A pass folds every chunk into the first chunk's own sums.  It must
+    # A pass merges every chunk's sums from the first chunk's own.  It must
     # give the bits of a fold from zeros over fresh chunk sums, also for a
-    # rule whose first chunk retains nothing, and must not add into arrays
-    # that two rules or two chunks share.
+    # rule whose first chunk retains nothing.  The fold here is written out
+    # field by field, apart from `Sums.merge`.
     monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 8)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     T = params.horizon
     run = montecarlo.Pass(params, rules, target, 8 * 20 + 3, seed, threads, conditioning,
                           keep_samples=True)
-    want = [{"per_t_sums": np.zeros(T), "per_t_counts": np.zeros(T, dtype=np.int64),
-             "divergence_hist": np.zeros(T + 1, dtype=np.int64), "final_sum": 0.0,
-             "final_sumsq": 0.0, "retained": 0} for _ in rules]
-    samples = [[] for _ in rules]
+    zero = montecarlo.Sums(retained=0, per_t_sums=np.zeros(T),
+                           per_t_counts=np.zeros(T, dtype=np.int64), final_sum=0.0,
+                           final_sumsq=0.0, divergence_hist=np.zeros(T + 1, dtype=np.int64),
+                           samples=())
+    want = [zero] * len(rules)
     _, blocks = montecarlo._blocks(T, run.replicates, threads)
     chunks = [chunk for lo, hi in blocks for chunk in montecarlo._chunk_stats(run, lo, hi)]
-    assert chunks[0][0]["retained"] == 0
+    assert chunks[0][0].retained == 0
     for chunk in chunks:
-        for total, kept, res in zip(want, samples, chunk):
-            for field in total:
-                total[field] += res[field]
-            kept.append(res["samples"])
-    assert run.totals[0]["retained"] > 0
-    for got, total, kept in zip(run.totals, want, samples):
-        assert got.keys() == total.keys() | {"samples"}
-        assert np.array_equal(got["samples"], np.concatenate(kept))
+        want = [
+            montecarlo.Sums(
+                retained=total.retained + res.retained,
+                per_t_sums=total.per_t_sums + res.per_t_sums,
+                per_t_counts=total.per_t_counts + res.per_t_counts,
+                final_sum=total.final_sum + res.final_sum,
+                final_sumsq=total.final_sumsq + res.final_sumsq,
+                divergence_hist=total.divergence_hist + res.divergence_hist,
+                samples=total.samples + res.samples,
+            )
+            for total, res in zip(want, chunk)
+        ]
+    assert run.totals[0].retained > 0
+    for got, total in zip(run.totals, want):
+        assert len(got.samples) == len(total.samples) == len(chunks)
+        for a, b in zip(got.samples, total.samples):
+            assert np.array_equal(a, b)
         for field in ("final_sum", "final_sumsq"):
-            assert got[field].hex() == total[field].hex(), field
-        assert [x.hex() for x in got["per_t_sums"]] == [x.hex() for x in total["per_t_sums"]]
+            assert getattr(got, field).hex() == getattr(total, field).hex(), field
+        assert [x.hex() for x in got.per_t_sums] == [x.hex() for x in total.per_t_sums]
         for field in ("per_t_counts", "divergence_hist", "retained"):
-            assert np.array_equal(got[field], total[field]), field
-            assert np.asarray(got[field]).dtype == np.asarray(total[field]).dtype, field
+            a, b = getattr(got, field), getattr(total, field)
+            assert np.array_equal(a, b), field
+            assert np.asarray(a).dtype == np.asarray(b).dtype, field
 
 
 # Six chunks, the last of 77 replicates; and three, the last of one.
@@ -598,16 +635,25 @@ def test_two_chunk_blocks_fit_the_chunk_budget(monkeypatch):
         assert workers == 2
         assert [hi - lo for lo, hi in blocks] == [width] * (8 * CHUNK_SIZE // width)
     assert two_fit == 4079
+    # Below it, chunks pair up but never into fewer blocks than workers: the
+    # docstring's 4 chunks on 3 workers, and 5 chunks on 2.
+    for chunks, threads, widths in [(4, 3, [2, 1, 1]), (5, 2, [2, 2, 1])]:
+        workers, blocks = montecarlo._blocks(100, chunks * CHUNK_SIZE, threads)
+        assert workers == threads
+        assert [(hi - lo) // CHUNK_SIZE for lo, hi in blocks] == widths
 
 
 @pytest.mark.parametrize("seed, threads, message", [
     pytest.param(2**70, 1, "master_seed", id="seed-2**70"),
     pytest.param(-1, 1, "master_seed", id="seed-minus-1"),
     pytest.param(5, 0, "threads", id="threads-0"),
+    pytest.param(3.0, 1, "master_seed", id="seed-float"),
+    pytest.param("3", 1, "master_seed", id="seed-str"),
 ])
 def test_rejects_aliasing_seeds_and_no_threads(seed, threads, message):
     # Stream keys read a seed's low 64 bits, so 2**70 would run seed 0 and
-    # -1 would run 2**64 - 1; and zero threads would run one worker.
+    # -1 would run 2**64 - 1; and zero threads would run one worker.  The
+    # sub-seeds of a bias report refuse a seed as a pass does.
     rule = ThresholdRule(0.1)
     with pytest.raises(ValueError, match=message):
         estimate_causal(SMALL, ZEROS, 100, seed, threads)
@@ -642,6 +688,9 @@ def test_rejects_non_integer_counts(replicates, seed, threads, message):
 def test_accepts_numpy_integer_counts():
     got = estimate_causal(SMALL, ZEROS, np.int64(100), np.uint64(5), np.int32(2))
     assert_same_estimate(got, estimate_causal(SMALL, ZEROS, 100, 5, 2))
+    rule = ThresholdRule(0.1)
+    report = compute_bias_report(SMALL, rule, ZEROS, np.int64(100), np.uint64(5))
+    assert report == compute_bias_report(SMALL, rule, ZEROS, 100, 5)
 
 
 @pytest.mark.parametrize("entry", [0.5, 300])

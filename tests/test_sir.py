@@ -116,6 +116,20 @@ def test_invariants_over_noisy_trajectories():
         prev_y = y
 
 
+def test_noise_on_its_upper_bound_leaves_exactly_zero():
+    # The step clamps nothing at 0: each noise term is clipped to at most the
+    # array it is then subtracted from, and x - y is +0.0 when y == x.  The
+    # last uniform below 1 and a vast variance put both terms on that bound.
+    params = SirParams(overdispersion=1e8)
+    s = params.population * np.geomspace(1e-6, 1 - 1e-6, 2001)
+    i = params.population - s
+    u = np.full(s.size, 1 - 2.0**-53)
+    a = np.zeros(s.size, dtype=np.int8)
+    s_next, i_next, _ = sir_step_arrays(s, i, np.zeros(s.size), params, a, u, u)
+    assert ((s_next == 0.0) & (i_next == 0.0)).sum() > 100
+    assert not np.signbit(s_next).any() and not np.signbit(i_next).any()
+
+
 def test_rejects_bad_treatment():
     # A forced path is the only place a caller chooses treatments directly.
     with pytest.raises(ValueError):
