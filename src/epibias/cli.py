@@ -51,12 +51,11 @@ from .finite import (
 )
 from .montecarlo import (
     CONDITIONING_MODES,
-    associational_pass,
     estimate_associational,
     estimate_causal,
     simulate,
 )
-from .policies import ForcedSequenceRule, ThresholdRule
+from .policies import ForcedSequenceRule
 from .streams import derive_substream_seed, stream_keys
 
 
@@ -121,21 +120,16 @@ def run_figure2(args, config: ExperimentConfig) -> int:
 
 def run_figures34(args, config: ExperimentConfig) -> int:
     params = config.sir
-    zeros = (0,) * params.horizon
     causal = estimate_causal(
-        params, zeros, config.replicates,
+        params, (0,) * params.horizon, config.replicates,
         derive_substream_seed(config.seed, 0), config.threads,
     )
     print(f"causal mean Y_T = {fmt(causal.mean)} ({config.replicates} replicates)")
 
     # One associational pass scores every threshold.
-    rules = [ThresholdRule(threshold) for threshold in config.thresholds]
-    shared = associational_pass(
-        params, rules, zeros, config.replicates, derive_substream_seed(config.seed, 1),
-        config.threads, config.conditioning,
-    )
+    shared = config.shared_pass
     associational = {}
-    for threshold, rule in zip(config.thresholds, rules):
+    for threshold, rule in zip(config.thresholds, shared.rules):
         try:
             estimate = estimate_associational(shared, rule)
         except EmptyConditioningError as exc:
@@ -451,11 +445,6 @@ def main(argv=None) -> int:
             if key in SETTINGS["experiment"] and text is not None
         }
         config = apply_overrides(load_config(args.config), **flags)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         return args.handler(args, config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

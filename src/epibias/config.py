@@ -23,7 +23,8 @@ Unset keys fall back to the defaults above.  Values are literal: `%` is an
 ordinary character.  Leading and trailing whitespace is stripped.  A
 command-line flag parses exactly like the [experiment] key of its name.
 `dump_config` writes floats with repr so a dumped config reloads to exactly
-equal values.
+equal values.  A config is checked by the engine's own checks: it builds its
+`figures34` pass, so the command line refuses exactly what the library does.
 """
 
 from __future__ import annotations
@@ -31,10 +32,13 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import ConfigError
-from .montecarlo import CONDITIONING_MODES
+from .montecarlo import Pass
+from .policies import ThresholdRule
 from .sir import SirParams
+from .streams import derive_substream_seed
 
 DEFAULT_THRESHOLDS = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 DEFAULT_REPLICATES = 100_000
@@ -52,25 +56,22 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not self.thresholds:
-            raise ConfigError("thresholds must be non-empty")
+        try:  # the engine's own checks of the thresholds, counts, seed and conditioning
+            self.shared_pass
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if list(self.thresholds) != sorted(set(self.thresholds)):
             raise ConfigError(f"thresholds must be strictly increasing: {self.thresholds}")
-        if any(not 0.0 < v < 1.0 for v in self.thresholds):
-            raise ConfigError(f"thresholds must lie in (0, 1): {self.thresholds}")
-        if self.replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must fit in an unsigned 64-bit value, got {self.seed}")
         if not self.out:
             raise ConfigError("out must name a directory, got an empty value")
-        if self.conditioning not in CONDITIONING_MODES:
-            raise ConfigError(
-                f"conditioning must be one of {', '.join(CONDITIONING_MODES)}, "
-                f"got {self.conditioning!r}"
-            )
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+
+    @cached_property
+    def shared_pass(self) -> Pass:
+        """`figures34`'s pass that scores every threshold under sub-seed 1;
+        it runs nothing until its totals are read."""
+        return Pass(self.sir, list(map(ThresholdRule, self.thresholds)), (0,) * self.sir.horizon,
+                    self.replicates, derive_substream_seed(self.seed, 1), self.threads,
+                    self.conditioning)
 
 
 def parse_thresholds(text: str) -> tuple[float, ...]:

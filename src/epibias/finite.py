@@ -40,7 +40,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InstanceTooLargeError, KernelValidationError, UndefinedConditionalError
+from .errors import (
+    InstanceTooLargeError,
+    KernelValidationError,
+    UndefinedConditionalError,
+    checked_integer,
+    checked_real,
+)
 
 PATH_CAP = 10_000_000
 # numpy 1.x arrays have at most 32 axes, and outcome_kernels[T] has 2T + 1.
@@ -153,11 +159,10 @@ class FiniteDgp:
         rule_fn: Callable[[int, tuple, tuple], Sequence[float]] | dict[int, np.ndarray],
     ) -> "FiniteDgp":
         """Kernel tables from row functions, called per key, or dicts t -> table (copied)."""
-        outcome_values = tuple(float(v) for v in outcome_values)
-        treatment_values = tuple(_integer(v, "treatment value") for v in treatment_values)
         # Refuse oversized instances before materializing any table; the
         # tables themselves can dwarf the path count the validator checks.
-        _check_header(horizon, outcome_values, treatment_values, initial_outcome_index)
+        header = _check_header(horizon, outcome_values, treatment_values, initial_outcome_index)
+        horizon, outcome_values, treatment_values, initial_outcome_index = header
         sources = {"outcome": outcome_fn, "rule": rule_fn}
         tables = {"outcome": {}, "rule": {}}
         for kind, t, shape, width in _kernel_specs(
@@ -210,13 +215,12 @@ class FiniteDgp:
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteDgp":
         try:
-            horizon = _number(data["horizon"], "horizon", integral=True)
-            outcome_values = tuple(_number(v, "outcome value") for v in data["outcome_values"])
-            treatment_values = tuple(
-                _number(v, "treatment value", integral=True) for v in data["treatment_values"]
+            horizon, outcome_values, treatment_values, initial = _check_header(
+                _number(data["horizon"], "horizon"),
+                [_number(v, "outcome value") for v in data["outcome_values"]],
+                [_number(v, "treatment value") for v in data["treatment_values"]],
+                _number(data["initial_outcome_index"], "initial outcome index"),
             )
-            initial = _number(data["initial_outcome_index"], "initial outcome index", integral=True)
-            _check_header(horizon, outcome_values, treatment_values, initial)
             rows = {"outcome": {}, "rule": {}}
             for kind, t, shape, width in _kernel_specs(
                 horizon, len(treatment_values), len(outcome_values)
@@ -241,12 +245,17 @@ class FiniteDgp:
             raise KernelValidationError(f"malformed instance data: {exc}") from exc
 
 
-def _check_header(horizon, outcome_values, treatment_values, initial_outcome_index):
-    """Validate everything but the kernel tables, and refuse oversized instances."""
-    if horizon < 1:
-        raise KernelValidationError(f"horizon must be >= 1, got {horizon}")
-    if not all(math.isfinite(y) for y in outcome_values):
-        raise KernelValidationError(f"outcome values must be finite, got {outcome_values}")
+def _check_header(horizon, outcome_values, treatment_values, initial):
+    """The header checked, as (horizon, float outcome values, int treatment
+    values, initial outcome index); refuses oversized instances."""
+    try:
+        horizon = checked_integer("horizon", horizon, 1, math.inf)
+        outcome_values = tuple(checked_real("outcome values", y) for y in outcome_values)
+        treatment_values = tuple(checked_integer("treatment value", a, -math.inf, math.inf)
+                                 for a in treatment_values)
+        initial = checked_integer("initial outcome index", initial, -math.inf, math.inf)
+    except (TypeError, ValueError) as exc:  # TypeError: an alphabet that is not a sequence
+        raise KernelValidationError(str(exc)) from exc
     if list(outcome_values) != sorted(set(outcome_values)):
         raise KernelValidationError(
             f"outcome values must be strictly increasing, got {outcome_values}"
@@ -255,16 +264,15 @@ def _check_header(horizon, outcome_values, treatment_values, initial_outcome_ind
         raise KernelValidationError(
             f"treatment values must be distinct and not empty, got {treatment_values}"
         )
-    if not 0 <= initial_outcome_index < len(outcome_values):
-        raise KernelValidationError(
-            f"initial outcome index {initial_outcome_index} outside alphabet"
-        )
+    if not 0 <= initial < len(outcome_values):
+        raise KernelValidationError(f"initial outcome index {initial} outside alphabet")
     n_y, n_a = len(outcome_values), len(treatment_values)
     if 2 * horizon + 1 > _MAX_AXES or (n_y * n_a) ** horizon > PATH_CAP:
         raise InstanceTooLargeError(
             f"({n_y} outcomes x {n_a} treatments)^{horizon} exceeds the {PATH_CAP} path cap "
             f"or the horizon needs more than {_MAX_AXES} array axes"
         )
+    return horizon, outcome_values, treatment_values, initial
 
 
 def _kernel_specs(horizon, n_a, n_y):
@@ -280,19 +288,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _number(value, name: str, integral: bool = False):
-    """A JSON number as a float, or as an int when `integral`; a bool or a
-    string is refused, not coerced."""
+def _number(value, name: str):
+    """`value` if it is a JSON number; a bool or a string is refused, not coerced."""
     if not _is_number(value):
         raise KernelValidationError(f"{name} must be a number, got {value!r}")
-    return _integer(value, name) if integral else float(value)
-
-
-def _integer(value, name: str) -> int:
-    """int(value), refusing a float that int() would truncate."""
-    if isinstance(value, float) and not value.is_integer():
-        raise KernelValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 def _tabulate(kind, source, t, shape, width) -> np.ndarray:
@@ -414,7 +414,10 @@ def _forward(P, R, initial: int) -> list:
 
 def _path(dgp: FiniteDgp, target: Sequence[int]) -> tuple[int, ...]:
     """Alphabet indices of the treatment path a_1..a_T, its length checked."""
-    path = tuple(dgp.treatment_index(a) for a in target)
+    try:
+        path = tuple(map(dgp.treatment_index, target))
+    except TypeError:
+        raise ValueError(f"target must be a sequence of treatments, got {target!r}") from None
     if len(path) != dgp.horizon:
         raise ValueError(f"expected {dgp.horizon} treatments, got {len(path)}")
     return path

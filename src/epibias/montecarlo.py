@@ -20,17 +20,17 @@ or drawn for again.  Every statistic is read from those days and the
 outcomes, bit-identical to simulating all replicates for all T days.
 
 A family of threshold rules on the all-zero target shares one associational
-pass (`associational_pass`): a rule still on the target has seen exactly the
-target's treatments, and y > max threshold implies y > threshold, so a pass
-under the largest threshold gives every rule's divergence days and outcomes
-(the clone-censor argument for comparing dynamic regimes).  Any other rule
-runs alone, as a one-rule family.
+pass: a rule still on the target has seen exactly the target's treatments,
+and y > max threshold implies y > threshold, so a pass under the largest
+threshold gives every rule's divergence days and outcomes (the clone-censor
+argument for comparing dynamic regimes).  Any other rule runs alone, as a
+one-rule family.
 
-A run of the engine is one value, a `Pass`.  Its arguments are checked once,
-when it is made, and its `totals` step every block and fold every chunk at
-the first read.  The estimators read it: `estimate_causal` makes a one-rule
-pass with no target, and `estimate_associational` reads one rule's estimate
-from the pass that `associational_pass` makes for a family.
+A run of the engine is one value, a `Pass`.  `errors`' checks refuse a bad
+argument with `ValueError` when it is made, and its `totals` step every block
+and fold every chunk at the first read.  The estimators read it:
+`estimate_causal` makes a one-rule pass with no target, and
+`estimate_associational` reads one rule's estimate from a family's pass.
 
 Determinism: the chunk of CHUNK_SIZE replicates is the unit of reduction,
 and the block of one or two consecutive chunks is the unit of the day loop.
@@ -56,10 +56,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyConditioningError
+from .errors import EmptyConditioningError, checked_integer, checked_path
 from .policies import ForcedSequenceRule, PolicyRule, ThresholdRule
 from .sir import CHUNK_BYTES_BUDGET, CHUNK_SIZE, LANE_BYTES, SirParams, sir_step_arrays
-from .streams import checked_integer, counter_uniform_array, derive_substream_seed, stream_keys
+from .streams import counter_uniform_array, derive_substream_seed, stream_keys
 
 CONDITIONING_MODES = ("full-path", "per-time")
 
@@ -309,8 +309,11 @@ class Pass:
     every rule is scored.
 
     `target` is the 0/1 path the rules are conditioned on, or None to keep
-    every replicate.  `estimate_causal` and `associational_pass` make a pass,
-    and the estimators read its `totals`, which run the pass at the first read.
+    every replicate; the counts are stored as ints, `rules` and `target` as
+    tuples.  "full-path" conditioning keeps a replicate only if its whole path
+    matches the target; "per-time" averages each Y_t over those that match up
+    to t, with the same final-time values.  The estimators read the pass's
+    `totals`, which run it at the first read.
     """
 
     params: SirParams
@@ -323,9 +326,10 @@ class Pass:
     keep_samples: bool = False
 
     def __post_init__(self):
-        checked_integer("replicates", self.replicates, 1)
-        checked_integer("master_seed", self.master_seed, 0)
-        checked_integer("threads", self.threads, 1)
+        # Stored as checked, so the engine's arithmetic sees Python ints.
+        for name, low in (("replicates", 1), ("master_seed", 0), ("threads", 1)):
+            object.__setattr__(self, name, checked_integer(name, getattr(self, name), low))
+        object.__setattr__(self, "rules", tuple(self.rules))
         if self.conditioning not in CONDITIONING_MODES:
             raise ValueError(
                 f"conditioning must be one of {CONDITIONING_MODES}, got {self.conditioning!r}"
@@ -333,13 +337,12 @@ class Pass:
         if not self.rules:
             raise ValueError("no rule to simulate")
         if self.target is not None:
+            object.__setattr__(self, "target", checked_path("target", self.target))
             if len(self.target) != self.params.horizon:
                 raise ValueError(
                     f"target path length {len(self.target)} does not match horizon "
                     f"{self.params.horizon}"
                 )
-            if any(a not in (0, 1) for a in self.target):
-                raise ValueError(f"target treatments must be 0 or 1, got {self.target!r}")
         if len(self.rules) > 1 and (
             not all(isinstance(rule, ThresholdRule) for rule in self.rules)
             or self.target is None or any(self.target)
@@ -370,36 +373,6 @@ class Pass:
         return fold(map(work, blocks))
 
 
-def associational_pass(
-    params: SirParams,
-    rules: Sequence[PolicyRule],
-    target: Sequence[int],
-    replicates: int,
-    master_seed: int,
-    threads: int = 1,
-    conditioning: str = "full-path",
-    keep_samples: bool = False,
-) -> Pass:
-    """One associational pass that scores every rule of a family.
-
-    A family of more than one rule must be `ThresholdRule`s on the all-zero
-    target, in any order.  The day loop runs under the largest threshold,
-    which leaves the target last on every replicate, and every other rule is
-    scored from its outcomes: a rule still on the target has seen exactly
-    the target's treatments, and so the same outcomes.
-
-    conditioning="full-path" retains a trajectory for all t only if its whole
-    treatment path matches the target (the default).  "per-time" computes the
-    intermediate Y_t means over trajectories matching the target only up to
-    t, a looser conditioning set some analyses prefer for mid-course curves;
-    final-time quantities are identical in both modes.
-    """
-    return Pass(
-        params, tuple(rules), tuple(target), replicates, master_seed, threads, conditioning,
-        keep_samples,
-    )
-
-
 def estimate_causal(
     params: SirParams,
     sequence: Sequence[int],
@@ -408,17 +381,18 @@ def estimate_causal(
     threads: int = 1,
 ) -> EstimateResult:
     """E[Y_t] under do(sequence): simulate with treatments forced, keep everything."""
-    if len(sequence) != params.horizon:
+    rule = ForcedSequenceRule(sequence)
+    if len(rule.sequence) != params.horizon:
         raise ValueError(
-            f"sequence length {len(sequence)} does not match horizon {params.horizon}"
+            f"sequence length {len(rule.sequence)} does not match horizon {params.horizon}"
         )
-    run = Pass(params, (ForcedSequenceRule(sequence),), None, replicates, master_seed, threads)
-    return _estimate(run.totals[0], replicates)
+    run = Pass(params, (rule,), None, replicates, master_seed, threads)
+    return _estimate(run.totals[0], run.replicates)
 
 
 def estimate_associational(shared: Pass, rule: PolicyRule) -> EstimateResult:
     """E[Y_t | realized treatments == target] under the endogenous `rule`,
-    read from a pass made by `associational_pass` that holds `rule`.
+    read from a `Pass` that holds `rule`.
 
     Raises EmptyConditioningError when nothing matches.
     """
@@ -445,7 +419,7 @@ def compute_bias_report(
     causal = estimate_causal(
         params, target, replicates, derive_substream_seed(master_seed, 0), threads
     )
-    shared = associational_pass(
+    shared = Pass(
         params, (rule,), target, replicates, derive_substream_seed(master_seed, 1), threads,
         conditioning,
     )

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SequenceExhaustedError
+from .errors import SequenceExhaustedError, checked_path, checked_real
 
 
 class PolicyRule:
@@ -52,10 +52,10 @@ class ThresholdRule(PolicyRule):
     uses_randomness = False
 
     def __init__(self, threshold: float):
-        if not 0.0 < threshold < 1.0:
+        self.threshold = checked_real("threshold", threshold)
+        if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must be inside (0, 1), got {threshold!r}")
-        self.threshold = threshold
-        self.name = f"threshold({threshold:g})"
+        self.name = f"threshold({self.threshold:g})"
 
     def decide_batch(self, t, last, y, u=None) -> np.ndarray:
         return ((last != 0) | (y > self.threshold)).astype(np.int8)
@@ -81,10 +81,7 @@ class ForcedSequenceRule(PolicyRule):
     uses_randomness = False
 
     def __init__(self, sequence: Sequence[int]):
-        sequence = tuple(sequence)
-        if any(a not in (0, 1) for a in sequence):
-            raise ValueError(f"forced treatments must be 0 or 1, got {sequence!r}")
-        self.sequence = tuple(int(a) for a in sequence)
+        self.sequence = checked_path("forced sequence", sequence)
         self.name = "forced"
 
     def decide_batch(self, t, last, y, u=None) -> np.ndarray:
@@ -107,10 +104,10 @@ class ExogenousRule(PolicyRule):
     uses_randomness = True
 
     def __init__(self, p: float):
-        if not 0.0 <= p <= 1.0:
+        self.p = checked_real("p", p)
+        if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {p!r}")
-        self.p = float(p)
-        self.name = f"exogenous({p:g})"
+        self.name = f"exogenous({self.p:g})"
 
     def decide_batch(self, t, last, y, u) -> np.ndarray:
         return (u < self.p).astype(np.int8)

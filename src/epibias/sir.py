@@ -38,12 +38,11 @@ applied anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import SimulationOverflowError
+from .errors import SimulationOverflowError, checked_integer, checked_real
 from .noise import truncated_normal_transform
 
 # Replicates per Monte Carlo chunk (`montecarlo` re-exports it).  Part of the
@@ -88,10 +87,9 @@ class SirParams:
     horizon: int = 100
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        for f in fields(self)[:-1]:  # every field but the horizon
+            checked_real(f.name, getattr(self, f.name))
+        checked_integer("horizon", self.horizon, 1)
         if not self.population > 0:
             raise ValueError(f"population must be > 0, got {self.population!r}")
         if not 0 < self.initial_infected < self.population:
@@ -104,10 +102,6 @@ class SirParams:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma!r}")
         if self.overdispersion < 0:
             raise ValueError(f"overdispersion must be >= 0, got {self.overdispersion!r}")
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)):
-            raise ValueError(f"horizon must be an integer, got {self.horizon!r}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
         if self.horizon > MAX_HORIZON:
             raise ValueError(
                 f"horizon must be <= {MAX_HORIZON}, got {self.horizon!r}: a "

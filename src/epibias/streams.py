@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import checked_integer
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, the splitmix64 increment
 _SUBSEED = 0xD1B54A32D192ED03  # distinct stride for deriving sub-seeds
@@ -77,15 +79,6 @@ def counter_uniform_array(keys: np.ndarray, counter: int) -> np.ndarray:
     return _to_unit_array(mix64_array(keys + stride))
 
 
-def checked_integer(name: str, value, low: int) -> int:
-    """`value` as an int; ValueError unless it is an integer, not a bool, in
-    [low, 2**64): keys read a seed's low 64 bits, so a wider one would alias."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not (
-            low <= value <= _MASK64):
-        raise ValueError(f"{name} must be an integer in [{low}, 2**64), got {value!r}")
-    return int(value)
-
-
 def derive_substream_seed(master_seed: int, label: int) -> int:
     """A 64-bit sub-seed for an independent purpose (e.g. a second estimator).
 
@@ -93,5 +86,6 @@ def derive_substream_seed(master_seed: int, label: int) -> int:
     sub-seeds never collide with replicate keys of the parent seed.
     """
     seed = checked_integer("master_seed", master_seed, 0)
+    label = checked_integer("label", label, 0)
     return mix64((seed + (label + 1) * _SUBSEED) & _MASK64)
 

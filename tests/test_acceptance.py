@@ -28,7 +28,7 @@ from epibias.finite import (
     verify_theorem1,
 )
 from epibias.montecarlo import (
-    associational_pass,
+    Pass,
     estimate_associational,
     estimate_causal,
     simulate,
@@ -64,7 +64,7 @@ def full_scale_run():
     # them.
     assoc_seed = derive_substream_seed(cfg.seed, 1)
     rules = {threshold: ThresholdRule(threshold) for threshold in cfg.thresholds}
-    shared = associational_pass(
+    shared = Pass(
         params, list(rules.values()), zeros, cfg.replicates, assoc_seed, keep_samples=True
     )
     assoc = {}
@@ -268,7 +268,7 @@ def test_criterion_08_null_endogeneity_control():
     causal = estimate_causal(params, zeros, 100_000, derive_substream_seed(7, 0))
     rule = ExogenousRule(0.5)
     assoc = estimate_associational(
-        associational_pass(params, [rule], zeros, 100_000, derive_substream_seed(7, 1)), rule
+        Pass(params, [rule], zeros, 100_000, derive_substream_seed(7, 1)), rule
     )
     bias = assoc.mean - causal.mean
     pooled = float(np.hypot(causal.std_error, assoc.std_error))

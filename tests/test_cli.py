@@ -447,6 +447,18 @@ class TestConfigHandling:
         assert err.startswith("error:") and "overflowed" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["figures34", "print-config"])
+    @pytest.mark.parametrize("flag", ["--threads", "--replicates", "--seed"])
+    def test_count_past_2_64_exits_2(self, tmp_path, capsys, command, flag):
+        # The config asks the engine's own checks, so the CLI refuses what a
+        # Pass refuses; a thread count past 2**64 once escaped as a traceback.
+        code = main([command, flag, str(2**70), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert flag[2:] in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_flag_value_exits_2(self, capsys):
         assert main(["figures34", "--thresholds", "pancake"]) == 2
 
@@ -456,9 +468,10 @@ class TestConfigHandling:
 
 
 # Strings a hand-written INI value or flag might hold: non-finite and extreme
-# floats, signed zero, configparser interpolation syntax, empty, hex, booleans.
+# floats, signed zero, configparser interpolation syntax, empty, hex, booleans,
+# an integer past 2**64 and a negative one.
 HOSTILE = ["nan", "inf", "-inf", "1e308", "1e400", "0", "-0", "5e-324", "%", "%%",
-           "%(seed)s", "", "0x10", "True"]
+           "%(seed)s", "", "0x10", "True", "1180591620717411303424", "-1"]
 
 
 def run_main(argv, capsys):

@@ -14,7 +14,7 @@ from epibias.montecarlo import (
     CHUNK_SIZE,
     CONDITIONING_MODES,
     EstimateResult,
-    associational_pass,
+    Pass,
     compute_bias_report,
     estimate_associational,
     estimate_causal,
@@ -94,7 +94,7 @@ def test_never_triggered_threshold_equals_causal_exactly():
     # identical noise streams: every statistic must match bit for bit.
     causal = estimate_causal(SMALL, ZEROS, 5000, 11)
     rule = ThresholdRule(1.0 - 1e-9)
-    assoc = estimate_associational(associational_pass(SMALL, [rule], ZEROS, 5000, 11), rule)
+    assoc = estimate_associational(Pass(SMALL, [rule], ZEROS, 5000, 11), rule)
     assert assoc.replicates_retained == 5000
     assert assoc.mean == causal.mean
     assert assoc.std_error == causal.std_error
@@ -104,7 +104,7 @@ def test_never_triggered_threshold_equals_causal_exactly():
 def test_retained_counts_and_samples():
     rule = ThresholdRule(0.001)
     res = estimate_associational(
-        associational_pass(SMALL, [rule], ZEROS, 4000, 13, keep_samples=True), rule
+        Pass(SMALL, [rule], ZEROS, 4000, 13, keep_samples=True), rule
     )
     assert 0 < res.replicates_retained < 4000
     assert len(res.samples) == res.replicates_retained
@@ -119,7 +119,7 @@ def test_empty_conditioning_raises_with_diagnostics():
     # Threshold below y_0: the rule fires on day one for every replicate.
     rule = ThresholdRule(1e-7)
     with pytest.raises(EmptyConditioningError) as exc:
-        estimate_associational(associational_pass(SMALL, [rule], ZEROS, 64, 3), rule)
+        estimate_associational(Pass(SMALL, [rule], ZEROS, 64, 3), rule)
     err = exc.value
     assert err.replicates_total == 64
     # Everyone diverged at the first treatment decision.
@@ -129,10 +129,10 @@ def test_empty_conditioning_raises_with_diagnostics():
 def test_per_time_conditioning_agrees_at_final_time():
     rule = ThresholdRule(0.002)
     full = estimate_associational(
-        associational_pass(SMALL, [rule], ZEROS, 20000, 21, conditioning="full-path"), rule
+        Pass(SMALL, [rule], ZEROS, 20000, 21, conditioning="full-path"), rule
     )
     per_t = estimate_associational(
-        associational_pass(SMALL, [rule], ZEROS, 20000, 21, conditioning="per-time"), rule
+        Pass(SMALL, [rule], ZEROS, 20000, 21, conditioning="per-time"), rule
     )
     assert per_t.mean == full.mean
     assert per_t.replicates_retained == full.replicates_retained
@@ -145,7 +145,7 @@ def test_unknown_conditioning_mode_rejected():
     rule = ThresholdRule(0.1)
     with pytest.raises(ValueError):
         estimate_associational(
-            associational_pass(SMALL, [rule], ZEROS, 100, 1, conditioning="sideways"), rule
+            Pass(SMALL, [rule], ZEROS, 100, 1, conditioning="sideways"), rule
         )
 
 
@@ -154,7 +154,7 @@ def test_bias_report_wires_subseeds():
     causal = estimate_causal(SMALL, ZEROS, 8000, derive_substream_seed(42, 0))
     rule = ThresholdRule(0.003)
     assoc = estimate_associational(
-        associational_pass(SMALL, [rule], ZEROS, 8000, derive_substream_seed(42, 1)), rule
+        Pass(SMALL, [rule], ZEROS, 8000, derive_substream_seed(42, 1)), rule
     )
     assert report.causal.mean == causal.mean
     assert report.associational.mean == assoc.mean
@@ -169,8 +169,8 @@ def test_exogenous_rule_conditioning_runs():
     # reproducible.
     params = SirParams(horizon=6)
     rule = ExogenousRule(0.5)
-    res1 = estimate_associational(associational_pass(params, [rule], (0,) * 6, 2000, 5), rule)
-    res2 = estimate_associational(associational_pass(params, [rule], (0,) * 6, 2000, 5), rule)
+    res1 = estimate_associational(Pass(params, [rule], (0,) * 6, 2000, 5), rule)
+    res2 = estimate_associational(Pass(params, [rule], (0,) * 6, 2000, 5), rule)
     assert res1.mean == res2.mean
     assert res1.replicates_retained == res2.replicates_retained
     # Roughly 2^-6 of replicates survive full-path matching.
@@ -342,7 +342,7 @@ def shared_estimates(thresholds, replicates, seed, threads, conditioning):
     """Every threshold's estimate read from one shared pass made with the
     rules in the order given (the first divergence when empty)."""
     rules = {thr: ThresholdRule(thr) for thr in thresholds}
-    shared = associational_pass(
+    shared = Pass(
         SHARED, list(rules.values()), SHARED_ZEROS, replicates, seed, threads, conditioning,
         keep_samples=True,
     )
@@ -380,8 +380,8 @@ def test_shared_pass_matches_per_threshold_estimates(conditioning, threads):
         try:
             rule = ThresholdRule(thr)
             want = estimate_associational(
-                associational_pass(SHARED, [rule], SHARED_ZEROS, replicates, 7, threads,
-                                   conditioning, keep_samples=True),
+                Pass(SHARED, [rule], SHARED_ZEROS, replicates, 7, threads,
+                     conditioning, keep_samples=True),
                 rule,
             )
         except EmptyConditioningError as exc:
@@ -407,7 +407,7 @@ def test_shared_pass_steps_like_the_widest_rule(monkeypatch):
     shared_lanes = lanes[:]
     lanes.clear()
     rule = ThresholdRule(max(SHARED_THRESHOLDS))
-    estimate_associational(associational_pass(SHARED, [rule], SHARED_ZEROS, replicates, 7), rule)
+    estimate_associational(Pass(SHARED, [rule], SHARED_ZEROS, replicates, 7), rule)
     assert len(shared_lanes) == 2 * SHARED.horizon
     assert shared_lanes == lanes
 
@@ -429,7 +429,7 @@ def test_shared_pass_rejects_what_it_cannot_score(rules, target):
 
 def test_a_shared_pass_reads_only_its_own_rules():
     narrow, wide = ThresholdRule(0.003), ThresholdRule(0.03)
-    shared = associational_pass(SHARED, (narrow, wide), SHARED_ZEROS, 2000, 7)
+    shared = Pass(SHARED, (narrow, wide), SHARED_ZEROS, 2000, 7)
     with pytest.raises(ValueError, match="not a rule"):
         estimate_associational(shared, ThresholdRule(0.03))
 
@@ -445,7 +445,7 @@ def test_engine_memory_does_not_grow_with_the_chunk_count(monkeypatch, threads):
     rules = [ThresholdRule(thr) for thr in sorted(SHARED_THRESHOLDS)]
 
     def peak(chunks):
-        shared = associational_pass(params, rules, (0,) * 5, 8 * chunks, 7, threads)
+        shared = Pass(params, rules, (0,) * 5, 8 * chunks, 7, threads)
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         shared.totals
@@ -467,8 +467,8 @@ def test_per_time_sums_copy_no_outcomes():
     rules = [ThresholdRule(thr) for thr in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)]
 
     def peak(horizon, conditioning):
-        shared = associational_pass(SirParams(horizon=horizon), rules, (0,) * horizon,
-                                    CHUNK_SIZE, 7, 1, conditioning)
+        shared = Pass(SirParams(horizon=horizon), rules, (0,) * horizon,
+                      CHUNK_SIZE, 7, 1, conditioning)
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         shared.totals
@@ -567,19 +567,18 @@ def test_blocks_move_no_bit_at_any_thread_count(monkeypatch, replicates):
     def run(threads):
         out = [estimate_causal(params, (0,) * 3, replicates, 7, threads)]
         for conditioning in CONDITIONING_MODES:
-            shared = associational_pass(params, rules, (0,) * 3, replicates, 7, threads,
-                                        conditioning, keep_samples=True)
+            shared = Pass(params, rules, (0,) * 3, replicates, 7, threads,
+                          conditioning, keep_samples=True)
             out += [estimate_associational(shared, rule) for rule in rules]
             # Listed widest first, the family still runs under the widest.
-            misordered = associational_pass(params, rules[::-1], (0,) * 3, replicates, 7,
-                                            threads, conditioning, keep_samples=True)
+            misordered = Pass(params, rules[::-1], (0,) * 3, replicates, 7,
+                              threads, conditioning, keep_samples=True)
             for rule, want in zip(rules, out[-3:]):
                 assert_same_estimate(estimate_associational(misordered, rule), want)
         report = compute_bias_report(params, ExogenousRule(0.5), (0,) * 3, replicates, 7,
                                      threads, "per-time")
         out += [report.causal, report.associational]
-        empty = associational_pass(params, [ThresholdRule(1e-7)], (0,) * 3, replicates, 7,
-                                   threads)
+        empty = Pass(params, [ThresholdRule(1e-7)], (0,) * 3, replicates, 7, threads)
         errors = [error_text(lambda: estimate_associational(empty, empty.rules[0]))]
         return out, errors
 
@@ -658,7 +657,7 @@ def test_rejects_aliasing_seeds_and_no_threads(seed, threads, message):
     with pytest.raises(ValueError, match=message):
         estimate_causal(SMALL, ZEROS, 100, seed, threads)
     with pytest.raises(ValueError, match=message):
-        associational_pass(SMALL, [rule], ZEROS, 100, seed, threads)
+        Pass(SMALL, [rule], ZEROS, 100, seed, threads)
     with pytest.raises(ValueError, match=message):
         compute_bias_report(SMALL, rule, ZEROS, 100, seed, threads)
 
@@ -682,7 +681,7 @@ def test_rejects_non_integer_counts(replicates, seed, threads, message):
     with pytest.raises(ValueError, match=message):
         estimate_causal(SMALL, ZEROS, replicates, seed, threads)
     with pytest.raises(ValueError, match=message):
-        associational_pass(SMALL, [ThresholdRule(0.1)], ZEROS, replicates, seed, threads)
+        Pass(SMALL, [ThresholdRule(0.1)], ZEROS, replicates, seed, threads)
 
 
 def test_accepts_numpy_integer_counts():
@@ -693,9 +692,13 @@ def test_accepts_numpy_integer_counts():
     assert report == compute_bias_report(SMALL, rule, ZEROS, 100, 5)
 
 
-@pytest.mark.parametrize("entry", [0.5, 300])
+@pytest.mark.parametrize("entry", [0.5, 300, True, 1.0])
 def test_rejects_a_target_entry_other_than_0_or_1(entry):
-    # 0.5 once ran the all-zero target, truncated; 300 overflowed int8.
+    # 0.5 once ran the all-zero target, truncated; 300 overflowed int8; True
+    # and 1.0 ran as 1.  A forced sequence refuses the same entries.
     target = (0, entry) + (0,) * (SMALL.horizon - 2)
     with pytest.raises(ValueError, match="0 or 1"):
-        associational_pass(SMALL, [ThresholdRule(0.1)], target, 100, 5)
+        Pass(SMALL, [ThresholdRule(0.1)], target, 100, 5)
+    with pytest.raises(ValueError, match="0 or 1"):
+        estimate_causal(SMALL, target, 100, 5)
+    assert Pass(SMALL, [ThresholdRule(0.1)], list(ZEROS), 100, 5).target == ZEROS
