@@ -77,11 +77,11 @@ def checked_integer(name: str, value, low, high=2**64 - 1) -> int:
     [low, high].  A float is refused even when integral, and a NaN or an
     infinity as `checked_real` refuses it.  The default `high` is the widest
     seed: stream keys read a seed's low 64 bits, so a wider one would alias."""
+    if isinstance(value, _INTEGER) and not isinstance(value, bool) and low <= value <= high:
+        return int(value)
     if isinstance(value, _REAL) and not isinstance(value, _INTEGER):
         checked_real(name, value)
-    if isinstance(value, bool) or not (isinstance(value, _INTEGER) and low <= value <= high):
-        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-    return int(value)
+    raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
 def checked_path(name: str, path) -> tuple[int, ...]:
