@@ -29,6 +29,9 @@ PALETTE = (
     "#7f7f7f",
 )
 
+# The tick spacing aims at this many intervals per axis.
+TICK_INTERVALS = 5
+
 
 @dataclass(frozen=True)
 class LineSeries:
@@ -43,6 +46,8 @@ class LineSeries:
             )
         if not self.xs:
             raise ValueError(f"series {self.label!r} is empty")
+        if not all(math.isfinite(v) for v in (*self.xs, *self.ys)):
+            raise ValueError(f"series {self.label!r} holds a value that is not finite")
 
 
 def _nice_step(raw: float) -> float:
@@ -60,10 +65,10 @@ def _nice_step(raw: float) -> float:
     return nice * 10**exponent
 
 
-def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    step = _nice_step((hi - lo) / max(target, 1))
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Ticks at multiples of a nice step across [lo, hi], for lo < hi; a
+    tick within round-off of zero is exactly 0.0."""
+    step = _nice_step((hi - lo) / TICK_INTERVALS)
     first = math.ceil(lo / step) * step
     ticks = []
     value = first
@@ -71,11 +76,6 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
         ticks.append(0.0 if abs(value) < step * 1e-9 else value)
         value += step
     return ticks
-
-
-def _fmt_tick(value: float) -> str:
-    text = f"{value:.6g}"
-    return "0" if text == "-0" else text
 
 
 def _escape(text: str) -> str:
@@ -92,12 +92,10 @@ def render_line_chart(
     if not series:
         raise ValueError("nothing to plot")
 
-    finite_xs = [x for s in series for x, y in zip(s.xs, s.ys) if math.isfinite(y)]
-    finite_ys = [y for s in series for y in s.ys if math.isfinite(y)]
-    if not finite_ys:
-        raise ValueError("no finite data points to plot")
-    x_lo, x_hi = min(finite_xs), max(finite_xs)
-    y_lo, y_hi = min(finite_ys), max(finite_ys)
+    xs = [x for s in series for x in s.xs]
+    ys = [y for s in series for y in s.ys]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
@@ -134,7 +132,7 @@ def render_line_chart(
         )
         parts.append(
             f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt_tick(tick)}</text>'
+            f'font-family="sans-serif" font-size="11">{tick:.6g}</text>'
         )
     for tick in _ticks(y_lo, y_hi):
         py = sy(tick)
@@ -144,7 +142,7 @@ def render_line_chart(
         )
         parts.append(
             f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt_tick(tick)}</text>'
+            f'font-family="sans-serif" font-size="11">{tick:.6g}</text>'
         )
 
     parts.append(
@@ -167,25 +165,14 @@ def render_line_chart(
 
     for index, s in enumerate(series):
         color = PALETTE[index % len(PALETTE)]
-        segment: list[str] = []
-        polylines = []
-        for x, y in zip(s.xs, s.ys):
-            if math.isfinite(y):
-                segment.append(f"{sx(x):.2f},{sy(y):.2f}")
-            elif segment:
-                polylines.append(segment)
-                segment = []
-        if segment:
-            polylines.append(segment)
-        for points in polylines:
-            if len(points) == 1:
-                cx, cy = points[0].split(",")
-                parts.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')
-            else:
-                parts.append(
-                    f'<polyline points="{" ".join(points)}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.5"/>'
-                )
+        if len(s.xs) == 1:
+            (x,), (y,) = s.xs, s.ys
+            parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" fill="{color}"/>')
+        else:
+            points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(s.xs, s.ys))
+            parts.append(
+                f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            )
 
     legend_x = x0 + plot_w - 150
     legend_y = MARGIN_TOP + 10

@@ -88,9 +88,9 @@ def run_figure2(args, config: ExperimentConfig) -> int:
     i_series = [params.initial_infected]
     r_series = [0.0]
     for *_, s, i, r in simulate(params, rule, keys):
-        s_series.append(float(s[0]))
-        i_series.append(float(i[0]))
-        r_series.append(float(r[0]))
+        s_series.append(s.item())
+        i_series.append(i.item())
+        r_series.append(r.item())
 
     xs = [float(t) for t in range(params.horizon + 1)]
     rows = [
@@ -428,7 +428,7 @@ def _attach_dash_values(parser: argparse.ArgumentParser, argv: list[str]) -> lis
         token, value = out[i], out[i + 1]
         match = options(token) if token.startswith("--") and "=" not in token else set()
         is_flag = token in flags or (len(match) == 1 and match <= flags)
-        if is_flag and value.startswith("-") and not options(value.split("=", 1)[0]):
+        if is_flag and value.startswith("-") and not options(value.partition("=")[0]):
             out[i : i + 2] = [f"{token}={value}"]
         i += 1
     return out
@@ -454,7 +454,3 @@ def main(argv=None) -> int:
         where = f" ({target})" if target else ""
         print(f"error: I/O failure{where}: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

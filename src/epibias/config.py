@@ -34,7 +34,7 @@ import io
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .errors import ConfigError
+from .errors import ConfigError, checked_integer
 from .montecarlo import Pass
 from .policies import ThresholdRule
 from .sir import SirParams
@@ -57,6 +57,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:  # the engine's own checks of the thresholds, counts, seed and conditioning
+            checked_integer("seed", self.seed, 0)  # named as set, before a sub-seed is derived
             self.shared_pass
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -139,8 +140,9 @@ def load_config(path: str | None = None) -> ExperimentConfig:
                 parser.read_file(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except configparser.Error as exc:
-            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        except configparser.Error as exc:  # on one line, where configparser writes several
+            detail = "; ".join(line.strip() for line in str(exc).splitlines())
+            raise ConfigError(f"cannot parse config {path}: {detail}") from exc
 
         for section in parser.sections():
             if section not in SETTINGS:
@@ -152,8 +154,10 @@ def load_config(path: str | None = None) -> ExperimentConfig:
 
     try:
         sir = SirParams(**values["sir"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except ValueError as exc:  # SirParams names its field; the error names the INI key
+        field, _, rest = str(exc).partition(" ")
+        keys = {name: key for key, (name, *_) in SETTINGS["sir"].items()}
+        raise ConfigError(f"{keys.get(field, field)} {rest}") from exc
     return ExperimentConfig(sir=sir, **values["experiment"])
 
 

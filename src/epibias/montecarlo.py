@@ -262,10 +262,9 @@ def _blocks(horizon: int, replicates: int, threads: int):
 
 
 def _map_ahead(pool, fn, items, window: int):
-    """pool.map(fn, items), submitted `window` items at a time and one window
-    ahead of the consumer, so that the futures and results in flight do not
-    grow with the number of items."""
-    items = iter(items)
+    """pool.map(fn, items) over the iterator `items`, submitted `window` items
+    at a time and one window ahead of the consumer, so that the futures and
+    results in flight do not grow with the number of items."""
     ahead = pool.map(fn, itertools.islice(items, window))
     while batch := list(itertools.islice(items, window)):
         current, ahead = ahead, pool.map(fn, batch)

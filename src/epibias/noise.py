@@ -21,10 +21,10 @@ NDTR_SATURATION = 8.292361075813597
 def truncated_normal_transform(mean, variance, lower, upper, u):
     """Map uniforms in (0, 1) to truncated-normal variates. Vectorized.
 
-    All arguments broadcast.  Zero-variance entries map to
-    clamp(mean, lower, upper) while still consuming their uniform, so every
-    replicate's stream stays draw-aligned whatever its state.  No argument is
-    written to.
+    The arguments are float64 arrays or Python floats, and broadcast.
+    Zero-variance entries map to clamp(mean, lower, upper) while still
+    consuming their uniform, so every replicate's stream stays draw-aligned
+    whatever its state.  No argument is written to.
 
     The result is bit-identical to
 
@@ -43,11 +43,7 @@ def truncated_normal_transform(mean, variance, lower, upper, u):
     # time, and the commands that draw no noise never need it.
     from scipy.special import ndtr, ndtri
 
-    mean = np.asarray(mean, dtype=np.float64)
     variance = np.asarray(variance, dtype=np.float64)
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
     shape = np.broadcast(mean, variance, lower, upper, u).shape
 
     # Both buffers are full-shape arrays, 0-d included, so every `out=` has an

@@ -21,12 +21,9 @@ from .errors import SequenceExhaustedError, checked_path, checked_real
 class PolicyRule:
     """Base class for decision rules.
 
-    `uses_randomness` tells the simulation engine whether to budget one
-    uniform per decision.
+    Each rule sets a `name` and `uses_randomness`, which tells the
+    simulation engine whether to budget one uniform per decision.
     """
-
-    name: str = "policy"
-    uses_randomness: bool = False
 
     def decide_batch(
         self, t: int, last: np.ndarray, y: np.ndarray, u: np.ndarray | None
@@ -90,7 +87,7 @@ class ForcedSequenceRule(PolicyRule):
                 f"day {t} is past the end of a forced sequence "
                 f"of length {len(self.sequence)}"
             )
-        return np.full(last.shape[0], self.sequence[t - 1], dtype=np.int8)
+        return np.full(last.shape, self.sequence[t - 1], dtype=np.int8)
 
 
 class ExogenousRule(PolicyRule):

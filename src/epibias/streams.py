@@ -32,8 +32,7 @@ _2_POW_MINUS_53 = 2.0 ** -53
 
 
 def mix64(x: int) -> int:
-    """splitmix64 finalizer on a Python integer (wrapped to 64 bits)."""
-    x &= _MASK64
+    """splitmix64 finalizer on a Python integer in [0, 2**64)."""
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
     x ^= x >> 27

@@ -3,7 +3,9 @@
 import math
 import xml.etree.ElementTree as ET
 
-from epibias.charts import LineSeries, render_line_chart
+import pytest
+
+from epibias.charts import LineSeries, _nice_step, render_line_chart
 
 NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -37,27 +39,44 @@ def test_series_and_labels_present():
     assert len(polylines) >= 2
 
 
-def test_nan_gap_splits_polyline():
-    series = [
-        LineSeries(
-            "gappy",
-            (0.0, 1.0, 2.0, 3.0, 4.0),
-            (1.0, 2.0, math.nan, 3.0, 4.0),
-        )
-    ]
-    doc = render_line_chart(series, title="", x_label="t", y_label="v")
-    root = ET.fromstring(doc)
-    polylines = root.findall(".//svg:polyline", NS)
-    assert len(polylines) == 2  # the NaN breaks one series into two segments
+@pytest.mark.parametrize("xs,ys,message", [
+    ((0.0, 1.0), (1.0,), "2 x values, 1 y values"),
+    ((), (), "is empty"),
+])
+def test_unplottable_series_is_refused(xs, ys, message):
+    with pytest.raises(ValueError, match=message):
+        LineSeries("bad", xs, ys)
+
+
+def test_no_series_is_refused():
+    with pytest.raises(ValueError, match="nothing to plot"):
+        render_line_chart([], title="", x_label="t", y_label="v")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_non_finite_value_is_refused(axis, value):
+    # The figures plot finite values only, so a series has no gaps to draw.
+    xs, ys = [0.0, 1.0, 2.0], [1.0, 2.0, 3.0]
+    (xs if axis == "x" else ys)[1] = value
+    with pytest.raises(ValueError, match="not finite"):
+        LineSeries("gappy", tuple(xs), tuple(ys))
 
 
 def test_isolated_point_becomes_a_circle():
-    series = [
-        LineSeries("dot", (0.0, 1.0, 2.0), (math.nan, 5.0, math.nan)),
-    ]
+    # A one-point series, as the summary chart of a single threshold is.
+    series = [LineSeries("dot", (1.0,), (5.0,))]
     doc = render_line_chart(series, title="", x_label="t", y_label="v")
     root = ET.fromstring(doc)
     assert root.findall(".//svg:circle", NS)
+
+
+@pytest.mark.parametrize("raw,step", [
+    (0.1, 0.1), (1.0, 1.0), (1.5, 2.0), (2.0, 2.0), (3.0, 5.0), (5.0, 5.0), (7.0, 10.0),
+    (100.0, 100.0),
+])
+def test_tick_step_rounds_up_to_1_2_or_5_times_a_power_of_ten(raw, step):
+    assert _nice_step(raw) == step
 
 
 def test_constant_series_does_not_collapse_the_scale():

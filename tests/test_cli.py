@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,7 +13,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from epibias.cli import _attach_dash_values, build_parser, fmt, main
 from epibias.config import SETTINGS, ExperimentConfig, dump_config
-from epibias.finite import coin_epidemic, random_dgp, random_opportunistic_dgp
+from epibias.finite import (
+    coin_epidemic, random_dgp, random_opportunistic_dgp, verify_theorem1,
+)
 
 
 def read_csv(path):
@@ -35,6 +38,12 @@ class TestFigure2:
         assert len(rows) == 102  # header + t = 0..100
         assert rows[1][0] == "0" and rows[1][4] == "0.0002"
         assert (out / "trajectory.svg").exists()
+
+    def test_reports_the_files_it_wrote(self, tmp_path, capsys):
+        assert main(["figure2", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {tmp_path / name}" for name in ("trajectory.csv", "trajectory.svg")
+        ]
 
     def test_deterministic_across_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -113,6 +122,20 @@ class TestFigures34:
         # The impossible threshold contributes no evolution rows.
         evo = read_csv(out / "bias_evolution.csv")
         assert all(r[0] != "0.0001" for r in evo[1:])
+
+    def test_reports_each_threshold_and_each_file(self, tmp_path, capsys):
+        out = tmp_path / "partial"
+        code = main([
+            "figures34", "--out", str(out), "--replicates", "300",
+            "--thresholds", "0.0001,0.4", "--seed", "1",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("causal mean Y_T = ") and lines[0].endswith(" (300 replicates)")
+        assert lines[1] == "threshold 0.0001: no retained trajectories (300 simulated)"
+        assert lines[2].startswith("threshold 0.4: retained ") and "/300, bias " in lines[2]
+        assert lines[3:] == [f"wrote {out / name}" for name in (
+            "bias_evolution.csv", "bias_summary.csv", "bias_evolution.svg", "bias_summary.svg")]
 
     def test_all_empty_thresholds_exit_3(self, tmp_path, capsys):
         out = tmp_path / "empty"
@@ -235,6 +258,21 @@ class TestOracle:
         assert rows[0] == ["kind", "t", "history", "outcome", "value"]
         by_kind = {r[0] for r in rows[1:]}
         assert {"g_formula", "associational", "bias", "ratio", "adaptation"} <= by_kind
+
+    def test_builtin_instance_summary(self, tmp_path, capsys):
+        out = tmp_path / "orc"
+        assert main(["oracle", "coin-epidemic", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "instance: coin-epidemic (horizon 2)",
+            "target treatment path: (0, 0)",
+            "g-formula mean final outcome: 1.1",
+            "associational mean final outcome: 0.6",
+            "bias: -0.5",
+            "times with nonconstant ratio: [1]",
+            "opportunistic at every such time: True",
+            "theorem respected: True",
+            f"wrote {out / 'oracle_report.csv'}",
+        ]
 
     def test_json_instance(self, tmp_path):
         payload = tmp_path / "dgp.json"
@@ -371,6 +409,31 @@ class TestFuzzTheorem:
         assert "0 violations" in stdout
 
 
+    def test_checks_100_instances_by_default(self, capsys):
+        assert main(["fuzz-theorem", "--seed", "11"]) == 0
+        assert capsys.readouterr().out.startswith("checked 100 opportunistic instances: ")
+
+    def test_one_instance_is_enough(self, capsys):
+        assert main(["fuzz-theorem", "--count", "1", "--seed", "11"]) == 0
+        assert capsys.readouterr().out == (
+            "checked 1 opportunistic instances: 1 respected the negative-bias theorem, "
+            "0 violations\n"
+        )
+
+    def test_violations_exit_1_and_are_counted(self, monkeypatch, capsys):
+        def refuted(dgp, target):
+            return dataclasses.replace(verify_theorem1(dgp, target), theorem_respected=False)
+
+        monkeypatch.setattr("epibias.cli.verify_theorem1", refuted)
+        assert main(["fuzz-theorem", "--count", "2", "--seed", "11"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "checked 2 opportunistic instances: 0 respected the negative-bias theorem, "
+            "2 violations\n"
+        )
+        assert [line.split(":")[0] for line in captured.err.splitlines()] == [
+            "VIOLATION at instance 0", "VIOLATION at instance 1"]
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_count_below_one_exits_2(self, capsys, count):
         assert main(["fuzz-theorem", "--count", count, "--seed", "11"]) == 2
@@ -459,12 +522,25 @@ class TestConfigHandling:
         assert flag[2:] in captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key,flags,ini", [
+        ("seed", ["--seed", "-1"], None),
+        ("lambda", [], "[sir]\nlambda = nan\n"),
+    ], ids=["seed", "lambda"])
+    def test_error_names_the_setting(self, tmp_path, capsys, key, flags, ini):
+        # Not the library's parameter (master_seed, lam) that the value reaches.
+        if ini is not None:
+            (tmp_path / "bad.ini").write_text(ini)
+            flags = ["--config", str(tmp_path / "bad.ini")]
+        code, captured = run_main(["print-config", *flags], capsys)
+        assert code == 2 and captured.err.startswith(f"error: {key} must be ")
+
     def test_bad_flag_value_exits_2(self, capsys):
         assert main(["figures34", "--thresholds", "pancake"]) == 2
 
     def test_unwritable_output_exits_4(self, capsys):
         assert main(["figure2", "--out", "/proc/definitely-not-writable"]) == 4
-        assert "error" in capsys.readouterr().err.lower()
+        assert capsys.readouterr().err.startswith(  # naming the path
+            "error: I/O failure (/proc/definitely-not-writable): ")
 
 
 # Strings a hand-written INI value or flag might hold: non-finite and extreme
@@ -606,6 +682,44 @@ class TestWhitespace:
         assert run_main(["print-config", "--config", str(echo)], capsys) == runs[0]
 
 
+# Text a setting might be given: anything, numbers, and the characters INI
+# syntax, numbers and lists are made of.
+ANY_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="0123456789.,+-eEinfa%[]=:;# \t\n\r", max_size=12),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["full-path", "per-time", "0.05,0.3", "out"]),
+)
+
+
+class TestArbitraryText:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(setting=st.sampled_from([(s, k) for s in SETTINGS for k in SETTINGS[s]]),
+           text=ANY_TEXT)
+    def test_print_config_round_trips_or_exits_2(self, tmp_path, capsys, setting, text):
+        # In the INI file, and as the flag where the key has one: exit 0 with
+        # output that reloads to itself, or exit 2 with one error line.
+        section, key = setting
+        cfg = tmp_path / "any.ini"
+        cfg.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
+        argvs = [["print-config", "--config", str(cfg)]]
+        if section == "experiment":
+            argvs.append(["print-config", f"--{key}={text}"])
+        for argv in argvs:
+            code, captured = run_main(argv, capsys)
+            assert "Traceback" not in captured.err
+            if code:
+                assert code == 2 and captured.out == "", (argv, captured)
+                assert captured.err.startswith("error:") and captured.err.count("\n") == 1, (
+                    argv, captured.err)
+                continue
+            echo = tmp_path / "echo.ini"
+            echo.write_text(captured.out, encoding="utf-8")
+            assert run_main(["print-config", "--config", str(echo)], capsys) == (code, captured)
+
+
 class TestDashValues:
     # A flag value that starts with "-" reaches the setting's parser as the
     # `--key=value` form does, instead of being taken for an option.
@@ -637,6 +751,23 @@ class TestDashValues:
         joined = run_main(["print-config", "--thresholds=-0.1"], capsys)
         assert run_main(["print-config", "--thresh", "-0.1"], capsys) == joined
         assert joined[0] == 2 and joined[1].err.startswith("error:")
+
+    def test_unambiguous_prefix_takes_a_dash_value(self):
+        # "-x" is no number, so argparse alone would take it for an option.
+        assert _attach_dash_values(build_parser(), ["print-config", "--thresh", "-x"]) == [
+            "print-config", "--thresh=-x"]
+
+    def test_a_joined_option_after_a_flag_is_still_an_option(self):
+        argv = ["print-config", "--out", "--seed=3"]
+        assert _attach_dash_values(build_parser(), argv) == argv
+
+    def test_tokens_after_a_rewritten_pair_are_kept(self):
+        argv = ["print-config", "--out", "-x", "--seed", "3"]
+        assert _attach_dash_values(build_parser(), argv) == [
+            "print-config", "--out=-x", "--seed", "3"]
+
+    def test_the_first_token_is_read_too(self):
+        assert _attach_dash_values(build_parser(), ["--seed", "-1"]) == ["--seed=-1"]
 
     def test_joined_flag_leaves_the_next_token_alone(self):
         argv = ["print-config", "--out=-x", "-y"]

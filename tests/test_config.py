@@ -82,6 +82,17 @@ def test_malformed_number_rejected(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("text", [
+    "seed = 5\n", "[experiment]\nseed\n", "[experiment]\nseed = 1\nseed = 2\n",
+], ids=["no-section", "no-value", "repeated-key"])
+def test_malformed_ini_rejected_on_one_line(tmp_path, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="cannot parse config") as info:
+        load_config(str(path))
+    assert "\n" not in str(info.value)
+
+
 def test_missing_file_rejected():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/experiment.ini")
@@ -101,6 +112,17 @@ def test_threshold_range_validated():
         ExperimentConfig(thresholds=(0.0,))
     with pytest.raises(ConfigError):
         ExperimentConfig(thresholds=(1.5,))
+
+
+@pytest.mark.parametrize("thresholds", [(0.2, 0.1), (0.1, 0.1)])
+def test_thresholds_must_strictly_increase(thresholds):
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        ExperimentConfig(thresholds=thresholds)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_both_ends_of_the_seed_range_are_accepted(seed):
+    assert ExperimentConfig(seed=seed).seed == seed
 
 
 def test_replicates_and_threads_validated():

@@ -79,6 +79,30 @@ def test_worker_threads_are_capped(monkeypatch, threads, cpus, expected):
     assert res.mean == estimate_causal(params, (0, 0), 2 * CHUNK_SIZE + 1, 3).mean
 
 
+def test_one_worker_is_the_caller_and_more_step_off_it(monkeypatch):
+    # The pool's results equal a serial run's, so only the threads tell them
+    # apart; every entry point defaults to one worker.
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    callers = set()
+    step = montecarlo.sir_step_arrays
+
+    def recorded(*args):
+        callers.add(threading.get_ident())
+        return step(*args)
+
+    monkeypatch.setattr(montecarlo, "sir_step_arrays", recorded)
+    params, zeros, n, rule = SirParams(horizon=2), (0, 0), 2 * CHUNK_SIZE, ThresholdRule(0.5)
+    for run in (lambda: estimate_causal(params, zeros, n, 3),
+                lambda: Pass(params, [rule], zeros, n, 3).totals,
+                lambda: compute_bias_report(params, rule, zeros, n, 3)):
+        callers.clear()
+        run()
+        assert callers == {threading.get_ident()}
+    callers.clear()
+    estimate_causal(params, zeros, n, 3, threads=2)
+    assert callers and threading.get_ident() not in callers
+
+
 def test_replicates_spanning_chunks_match_single_pass():
     # 20000 replicates cross the internal chunk boundary; the fold order is
     # fixed, so splitting cannot perturb even the last bit.
@@ -115,6 +139,18 @@ def test_retained_counts_and_samples():
     assert all(s <= 0.5 for s in res.samples)
 
 
+def test_standard_error_of_one_and_two_replicates():
+    # One sample has no spread to measure; two have the sample formula's.
+    rule = ForcedSequenceRule(ZEROS)
+    one, two = (
+        estimate_associational(Pass(SMALL, [rule], None, n, 13, keep_samples=True), rule)
+        for n in (1, 2)
+    )
+    assert one.std_error == 0.0
+    assert two.std_error == pytest.approx(abs(two.samples[0] - two.samples[1]) / 2)
+    assert two.std_error > 0
+
+
 def test_empty_conditioning_raises_with_diagnostics():
     # Threshold below y_0: the rule fires on day one for every replicate.
     rule = ThresholdRule(1e-7)
@@ -124,6 +160,19 @@ def test_empty_conditioning_raises_with_diagnostics():
     assert err.replicates_total == 64
     # Everyone diverged at the first treatment decision.
     assert err.first_divergence == {1: 64}
+
+
+def test_empty_conditioning_names_the_three_commonest_divergence_days():
+    err = EmptyConditioningError(12, {1: 1, 2: 5, 3: 3, 4: 2, 5: 1})
+    assert str(err).endswith("(most common first divergence: t=2: 5, t=3: 3, t=4: 2)")
+
+
+def test_a_lone_divergence_reaches_the_diagnostics():
+    # A day on which one replicate diverged is a day of the histogram.
+    rule = ThresholdRule(1e-7)
+    with pytest.raises(EmptyConditioningError) as exc:
+        estimate_associational(Pass(SMALL, [rule], ZEROS, 1, 3), rule)
+    assert exc.value.first_divergence == {1: 1}
 
 
 def test_per_time_conditioning_agrees_at_final_time():
@@ -692,7 +741,7 @@ def test_accepts_numpy_integer_counts():
     assert report == compute_bias_report(SMALL, rule, ZEROS, 100, 5)
 
 
-@pytest.mark.parametrize("entry", [0.5, 300, True, 1.0])
+@pytest.mark.parametrize("entry", [0.5, 300, True, 1.0, -1])
 def test_rejects_a_target_entry_other_than_0_or_1(entry):
     # 0.5 once ran the all-zero target, truncated; 300 overflowed int8; True
     # and 1.0 ran as 1.  A forced sequence refuses the same entries.
@@ -702,3 +751,16 @@ def test_rejects_a_target_entry_other_than_0_or_1(entry):
     with pytest.raises(ValueError, match="0 or 1"):
         estimate_causal(SMALL, target, 100, 5)
     assert Pass(SMALL, [ThresholdRule(0.1)], list(ZEROS), 100, 5).target == ZEROS
+
+
+def test_a_pass_stores_one_or_more_rules_as_a_tuple():
+    rule = ThresholdRule(0.1)
+    assert Pass(SMALL, [rule], ZEROS, 100, 5).rules == (rule,)
+    with pytest.raises(ValueError, match="no rule"):
+        Pass(SMALL, [], ZEROS, 100, 5)
+
+
+@pytest.mark.parametrize("length", [SMALL.horizon - 1, SMALL.horizon + 1])
+def test_a_target_of_another_length_than_the_horizon_is_refused(length):
+    with pytest.raises(ValueError, match="does not match horizon"):
+        Pass(SMALL, [ThresholdRule(0.1)], (0,) * length, 100, 5)

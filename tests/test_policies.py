@@ -18,6 +18,23 @@ def decide_one(rule, t, last, y, u=None):
     return int(out[0])
 
 
+@pytest.mark.parametrize("rule,name,draws", [
+    (ThresholdRule(0.1), "threshold(0.1)", False),
+    (ForcedSequenceRule([0, 1]), "forced", False),
+    (ExogenousRule(0.5), "exogenous(0.5)", True),
+])
+def test_a_rule_names_itself_and_says_whether_it_draws(rule, name, draws):
+    # The engine budgets a policy uniform by `uses_randomness`, and errors name the rule.
+    assert (rule.name, rule.uses_randomness) == (name, draws)
+
+
+@pytest.mark.parametrize("p,treated", [(0.0, 0), (1.0, 1)])
+def test_exogenous_rule_at_the_ends_of_its_range(p, treated):
+    u = np.array([2.0**-54, 0.5, 1.0 - 2.0**-53])  # near both ends of (0, 1)
+    decided = ExogenousRule(p).decide_batch(1, np.zeros(3, np.int8), np.zeros(3), u)
+    assert decided.tolist() == [treated] * 3
+
+
 class TestThresholdRule:
     def test_below_threshold_does_not_trigger(self):
         rule = ThresholdRule(0.05)

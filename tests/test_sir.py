@@ -150,6 +150,7 @@ def test_param_validation():
     with pytest.raises(ValueError):
         SirParams(horizon=0)
     assert SirParams(horizon=MAX_HORIZON).horizon == MAX_HORIZON
+    assert MAX_HORIZON == 8175  # 8,192 lanes of (T+1) outcomes and 128 bytes in 512 MiB
     with pytest.raises(ValueError, match="MiB"):
         SirParams(horizon=MAX_HORIZON + 1)
     # Drift arithmetic that overflows on day 1, untreated or treated.
@@ -162,6 +163,35 @@ def test_param_validation():
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SirParams(**{name: value})
+
+
+@pytest.mark.parametrize("population", [0.0, -5.0])
+def test_a_population_that_is_not_positive_is_named(population):
+    # 0 < initial_infected < population refuses it too, but names another field.
+    with pytest.raises(ValueError, match="population must be > 0"):
+        SirParams(population=population)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("beta", 0.0), ("gamma", 0.0), ("gamma", math.nextafter(1.0, 2.0)), ("overdispersion", -5e-324),
+])
+def test_a_value_just_outside_its_range_is_refused(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        SirParams(**{field: value})
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(beta=5e-324), dict(gamma=1.0), dict(overdispersion=0.0),
+    dict(population=0.5, initial_infected=0.25),
+])
+def test_a_value_on_the_edge_of_its_range_is_accepted(kwargs):
+    params = SirParams(**kwargs)
+    assert all(getattr(params, name) == value for name, value in kwargs.items())
+
+
+def test_someone_must_start_susceptible():
+    with pytest.raises(ValueError, match="initial_infected must be in"):
+        SirParams(population=100.0, initial_infected=100.0)
 
 
 def test_horizon_must_be_an_integer():

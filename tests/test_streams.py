@@ -21,6 +21,20 @@ def test_mix64_deterministic_and_nontrivial():
     assert abs(mix64(1) - mix64(2)) > 2**32
 
 
+def test_known_answers():
+    # Every output byte rests on these streams, so each constant, shift and
+    # stride of the construction is pinned by the values it gave when recorded.
+    assert mix64(12345) == 17540659726606785873
+    keys = stream_keys(42, np.arange(3, dtype=np.uint64))
+    assert keys.tolist() == [13679457532755275413, 2949826092126892291, 5139283748462763858]
+    assert counter_uniform_array(keys, 0).tolist() == [
+        0.3432919220986735, 0.9867112511075029, 0.00037612960331484535]
+    assert counter_uniform_array(keys, 7).tolist() == [
+        0.7347204584623639, 0.39746074875373466, 0.4275051621556168]
+    assert [derive_substream_seed(42, label) for label in (0, 1)] == [
+        814261035509592648, 11333517100451040940]
+
+
 def test_mix64_array_matches_scalar():
     xs = np.arange(1000, dtype=np.uint64)
     out = mix64_array(xs.copy())
@@ -64,6 +78,15 @@ def test_substream_seeds_disjoint():
     seeds = {derive_substream_seed(42, label) for label in range(100)}
     assert len(seeds) == 100
     assert derive_substream_seed(42, 0) != derive_substream_seed(43, 0)
+
+
+@pytest.mark.parametrize("seed,outside", [(0, -1), (2**64 - 1, 2**64)])
+def test_substream_seed_takes_both_ends_of_the_seed_range(seed, outside):
+    assert 0 <= derive_substream_seed(seed, 0) < 2**64
+    with pytest.raises(ValueError, match="master_seed"):
+        derive_substream_seed(outside, 0)
+    with pytest.raises(ValueError, match="label"):
+        derive_substream_seed(seed, -1)
 
 
 def test_stream_keys_match_engine_layout():
