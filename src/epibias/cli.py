@@ -277,12 +277,13 @@ def run_oracle(args, config: ExperimentConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    opportunistic = report.opportunistic
     rows = [
         ["g_formula", "", "", "", fmt(report.g_formula)],
         ["associational", "", "", "", fmt(report.associational)],
         ["bias", "", "", "", fmt(report.bias)],
     ]
-    for tc in report.opportunistic.per_time:
+    for tc in opportunistic.per_time:
         t = str(tc.t)
         rows.append(["opportunistic", t, "", "", _bool_cell(tc.opportunistic)])
         rows.append(["condition_i", t, "", "", _bool_cell(tc.condition_i)])
@@ -305,23 +306,23 @@ def run_oracle(args, config: ExperimentConfig) -> int:
             rows.append(["distortion_mass", t, history, "", fmt(hc.distortion_mass)])
     rows.append(
         ["opportunistic_everywhere", "", "", "",
-         _bool_cell(report.opportunistic_everywhere)]
+         _bool_cell(opportunistic.opportunistic_everywhere)]
     )
-    rows.append(["has_nonconstant", "", "", "", _bool_cell(report.has_nonconstant)])
+    rows.append(["has_nonconstant", "", "", "", _bool_cell(opportunistic.has_nonconstant)])
     rows.append(["theorem_respected", "", "", "", _bool_cell(report.theorem_respected)])
 
     os.makedirs(config.out, exist_ok=True)
     report_csv = os.path.join(config.out, "oracle_report.csv")
     _write_csv(report_csv, ["kind", "t", "history", "outcome", "value"], rows)
 
-    adaptive = [tc.t for tc in report.opportunistic.per_time if tc.nonconstant]
+    adaptive = [tc.t for tc in opportunistic.per_time if tc.nonconstant]
     print(f"instance: {args.instance} (horizon {dgp.horizon})")
-    print(f"target treatment path: {report.target}")
+    print(f"target treatment path: {opportunistic.target}")
     print(f"g-formula mean final outcome: {fmt(report.g_formula)}")
     print(f"associational mean final outcome: {fmt(report.associational)}")
     print(f"bias: {fmt(report.bias)}")
     print(f"times with nonconstant ratio: {adaptive}")
-    print(f"opportunistic at every such time: {report.opportunistic_everywhere}")
+    print(f"opportunistic at every such time: {opportunistic.opportunistic_everywhere}")
     print(f"theorem respected: {report.theorem_respected}")
     print(f"wrote {report_csv}")
     return 0

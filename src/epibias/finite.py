@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -50,7 +50,7 @@ from .errors import (
 
 PATH_CAP = 10_000_000
 # numpy 1.x arrays have at most 32 axes, and outcome_kernels[T] has 2T + 1.
-_MAX_AXES = 32
+_MAX_HORIZON = 15
 
 _ROW_SUM_TOL = 1e-12
 _NEUTRAL_TOL = 1e-12
@@ -70,8 +70,13 @@ class FiniteDgp:
     y_0..y_t]`, t = 0..horizon-1, that of a_{t+1}.  Their shapes are
     (n_a,)*t + (n_y,)*t + (n_y,) and (n_a,)*t + (n_y,)*(t+1) + (n_a,), so
     in C order the rows follow `itertools.product` over the history.
-    Validation makes the arrays read-only, so the passes along a target
-    path run once: `_reports` keeps what they give per target path.
+
+    Each kind of kernel is given as a row function, called per history key,
+    or as a dict t -> table: an array in the layout above, or a JSON table
+    of rows by "a=...;y=..." key.  The constructor checks the header once,
+    refuses an oversized instance before it builds any table, and keeps
+    fresh read-only float64 tables, so the passes along a target path run
+    once: `_reports` keeps what they give per target path.
     """
 
     horizon: int
@@ -83,60 +88,23 @@ class FiniteDgp:
     _reports: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _check_header(
+        header = _check_header(
             self.horizon, self.outcome_values, self.treatment_values, self.initial_outcome_index
         )
+        horizon, outcome_values, treatment_values, _ = header
+        tables = {"outcome": {}, "rule": {}}
         for kind, t, shape, width in _kernel_specs(
-            self.horizon, len(self.treatment_values), len(self.outcome_values)
+            horizon, len(treatment_values), len(outcome_values)
         ):
-            self._validate_table(kind, t, shape + (width,))
-
-    def _validate_table(self, kind, t, shape):
-        table = getattr(self, f"{kind}_kernels").get(t)
-        if table is None:
-            raise KernelValidationError(f"{kind} kernel missing for t={t}")
-        if not isinstance(table, np.ndarray) or table.dtype != np.float64 or table.shape != shape:
-            raise KernelValidationError(
-                f"{kind} kernel t={t}: expected a float64 array of shape {shape}, "
-                f"got {np.shape(table)}"
-            )
-        # Two whole-array tests first; the row searches below only name a bad
-        # row.  A NaN or a -inf fails the first, a +inf the second; the
-        # header checks guarantee the table is not empty.
-        if table.min() >= 0.0:
-            error = table.sum(axis=-1)
-            error -= 1.0
-            if np.abs(error, out=error).max() <= _ROW_SUM_TOL:
-                table.flags.writeable = False
-                return
-        checks = (
-            ("non-finite entry in", lambda: ~np.isfinite(table).all(axis=-1)),
-            ("does not sum to 1:", lambda: np.abs(table.sum(axis=-1) - 1.0) > _ROW_SUM_TOL),
-            ("negative entry in", lambda: (table < 0.0).any(axis=-1)),
-        )
-        for problem, find_bad in checks:
-            bad = np.argwhere(find_bad())
-            if len(bad):
-                index = tuple(bad[0].tolist())
-                raise KernelValidationError(
-                    f"{kind} kernel t={t} row a={index[:t]} y={index[t:]}: "
-                    f"{problem} {table[index].tolist()!r}"
-                )
+            table = _tabulate(kind, getattr(self, f"{kind}_kernels"), t, shape, width)
+            tables[kind][t] = _validated(kind, t, table, shape + (width,))
+        for f, value in zip(fields(self), (*header, tables["outcome"], tables["rule"])):
+            object.__setattr__(self, f.name, value)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteDgp):
             return NotImplemented
         return self.to_dict() == other.to_dict()
-
-    # -- lookups ------------------------------------------------------------
-
-    def outcome_row(self, t: int, a_idx: tuple[int, ...], y_idx: tuple[int, ...]):
-        """Probability vector of y_t given treatments a_1..a_t, outcomes y_0..y_{t-1}."""
-        return tuple(self.outcome_kernels[t][a_idx + y_idx].tolist())
-
-    def rule_row(self, t: int, a_idx: tuple[int, ...], y_idx: tuple[int, ...]):
-        """Probability vector of a_{t+1} given treatments a_1..a_t, outcomes y_0..y_t."""
-        return tuple(self.rule_kernels[t][a_idx + y_idx].tolist())
 
     def treatment_index(self, value: int) -> int:
         try:
@@ -159,24 +127,8 @@ class FiniteDgp:
         rule_fn: Callable[[int, tuple, tuple], Sequence[float]] | dict[int, np.ndarray],
     ) -> "FiniteDgp":
         """Kernel tables from row functions, called per key, or dicts t -> table (copied)."""
-        # Refuse oversized instances before materializing any table; the
-        # tables themselves can dwarf the path count the validator checks.
-        header = _check_header(horizon, outcome_values, treatment_values, initial_outcome_index)
-        horizon, outcome_values, treatment_values, initial_outcome_index = header
-        sources = {"outcome": outcome_fn, "rule": rule_fn}
-        tables = {"outcome": {}, "rule": {}}
-        for kind, t, shape, width in _kernel_specs(
-            horizon, len(treatment_values), len(outcome_values)
-        ):
-            tables[kind][t] = _tabulate(kind, sources[kind], t, shape, width)
-        return cls(
-            horizon=horizon,
-            outcome_values=outcome_values,
-            treatment_values=treatment_values,
-            initial_outcome_index=initial_outcome_index,
-            outcome_kernels=tables["outcome"],
-            rule_kernels=tables["rule"],
-        )
+        return cls(horizon, outcome_values, treatment_values, initial_outcome_index,
+                   outcome_fn, rule_fn)
 
     def with_rule(self, rule_fn) -> "FiniteDgp":
         """Same outcome process, different decision rule."""
@@ -215,30 +167,23 @@ class FiniteDgp:
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteDgp":
         try:
-            horizon, outcome_values, treatment_values, initial = _check_header(
-                _number(data["horizon"], "horizon"),
-                [_number(v, "outcome value") for v in data["outcome_values"]],
-                [_number(v, "treatment value") for v in data["treatment_values"]],
-                _number(data["initial_outcome_index"], "initial outcome index"),
-            )
-            rows = {"outcome": {}, "rule": {}}
-            for kind, t, shape, width in _kernel_specs(
-                horizon, len(treatment_values), len(outcome_values)
-            ):
-                serialized = data[f"{kind}_kernels"].get(str(t))
-                rows[kind][t] = _place_rows(kind, t, shape, width, serialized)
-            for kind, tables in rows.items():
-                extra = set(data[f"{kind}_kernels"]) - {str(t) for t in tables}
+            serialized = {kind: data[f"{kind}_kernels"] for kind in ("outcome", "rule")}
+            # Tables by time, as str(t) writes it; any other key is refused below.
+            sources = [
+                {int(key): dict(table.items())  # a table must be a JSON object
+                 for key, table in tables.items() if key.isdecimal() and key == str(int(key))}
+                for tables in serialized.values()
+            ]
+            dgp = cls(data["horizon"], data["outcome_values"], data["treatment_values"],
+                      data["initial_outcome_index"], *sources)
+            for kind, tables in serialized.items():
+                extra = set(tables) - set(map(str, getattr(dgp, f"{kind}_kernels")))
                 if extra:
                     raise KernelValidationError(
                         f"{kind} kernels: table keys {', '.join(sorted(map(repr, extra)))} "
-                        f"are not times of a horizon-{horizon} instance"
+                        f"are not times of a horizon-{dgp.horizon} instance"
                     )
-            return cls.from_functions(
-                horizon, outcome_values, treatment_values, initial,
-                lambda t, a, y: rows["outcome"][t][a + y],
-                lambda t, a, y: rows["rule"][t][a + y],
-            )
+            return dgp
         except (KernelValidationError, InstanceTooLargeError):
             raise
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -267,10 +212,10 @@ def _check_header(horizon, outcome_values, treatment_values, initial):
     if not 0 <= initial < len(outcome_values):
         raise KernelValidationError(f"initial outcome index {initial} outside alphabet")
     n_y, n_a = len(outcome_values), len(treatment_values)
-    if 2 * horizon + 1 > _MAX_AXES or (n_y * n_a) ** horizon > PATH_CAP:
+    if horizon > _MAX_HORIZON or (n_y * n_a) ** horizon > PATH_CAP:
         raise InstanceTooLargeError(
             f"({n_y} outcomes x {n_a} treatments)^{horizon} exceeds the {PATH_CAP} path cap "
-            f"or the horizon needs more than {_MAX_AXES} array axes"
+            f"or the horizon exceeds {_MAX_HORIZON}, the most that 32 array axes hold"
         )
     return horizon, outcome_values, treatment_values, initial
 
@@ -288,13 +233,6 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _number(value, name: str):
-    """`value` if it is a JSON number; a bool or a string is refused, not coerced."""
-    if not _is_number(value):
-        raise KernelValidationError(f"{name} must be a number, got {value!r}")
-    return value
-
-
 def _tabulate(kind, source, t, shape, width) -> np.ndarray:
     """A fresh C-order table from a row function, called per key, or a dict of tables."""
     if callable(source):
@@ -305,11 +243,14 @@ def _tabulate(kind, source, t, shape, width) -> np.ndarray:
         rows, lead = source.get(t), shape
         if rows is None:
             raise KernelValidationError(f"{kind} kernel missing for t={t}")
+        if isinstance(rows, dict):
+            rows = _place_rows(kind, t, shape, width, rows)
+            lead = (len(rows),)
     try:
         table = np.array(rows, dtype=float, order="C")
     except (TypeError, ValueError) as exc:
         raise KernelValidationError(f"{kind} kernel t={t}: rows are not numeric: {exc}") from exc
-    # A table whose history axes are wrong fails FiniteDgp's shape check.
+    # A table whose history axes are wrong fails the shape check in `_validated`.
     if table.shape[:len(lead)] == lead and table.shape[len(lead):] != (width,):
         raise KernelValidationError(
             f"{kind} kernel t={t}: rows of shape {table.shape[len(lead):]} "
@@ -318,10 +259,40 @@ def _tabulate(kind, source, t, shape, width) -> np.ndarray:
     return table if lead == shape else table.reshape(shape + (width,))
 
 
-def _place_rows(kind, t, shape, width, serialized) -> dict:
-    """Rows of one serialized table by history index; the keys must cover `shape` once."""
-    if serialized is None:
-        raise KernelValidationError(f"{kind} kernel missing for t={t}")
+def _validated(kind, t, table: np.ndarray, shape) -> np.ndarray:
+    """`table`, made read-only, once it has `shape` and every row is a
+    probability vector."""
+    if table.shape != shape:
+        raise KernelValidationError(
+            f"{kind} kernel t={t}: expected a float64 array of shape {shape}, "
+            f"got {table.shape}"
+        )
+    # Two whole-array tests first; the row searches below only name a bad
+    # row.  A NaN or a -inf fails the first, a +inf the second; the header
+    # checks guarantee the table is not empty.
+    if table.min() >= 0.0:
+        error = table.sum(axis=-1)
+        error -= 1.0
+        if np.abs(error, out=error).max() <= _ROW_SUM_TOL:
+            table.flags.writeable = False
+            return table
+    checks = (
+        ("non-finite entry in", lambda: ~np.isfinite(table).all(axis=-1)),
+        ("does not sum to 1:", lambda: np.abs(table.sum(axis=-1) - 1.0) > _ROW_SUM_TOL),
+        ("negative entry in", lambda: (table < 0.0).any(axis=-1)),
+    )
+    for problem, find_bad in checks:
+        bad = np.argwhere(find_bad())
+        if len(bad):
+            index = tuple(bad[0].tolist())
+            raise KernelValidationError(
+                f"{kind} kernel t={t} row a={index[:t]} y={index[t:]}: "
+                f"{problem} {table[index].tolist()!r}"
+            )
+
+
+def _place_rows(kind, t, shape, width, serialized: dict) -> list:
+    """The rows of one JSON table in C order; its keys must cover `shape` once."""
     placed = {}
     for key, row in serialized.items():
         a_idx, y_idx = _parse_key(key)
@@ -349,7 +320,7 @@ def _place_rows(kind, t, shape, width, serialized) -> dict:
         raise KernelValidationError(
             f"{kind} kernel t={t}: expected {math.prod(shape)} rows, got {len(placed)}"
         )
-    return placed
+    return [placed[index] for index in sorted(placed)]
 
 
 def _parse_key(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -379,10 +350,10 @@ def _pinned(dgp: FiniteDgp, path: tuple[int, ...]):
     return P, R
 
 
-def _backward(P, R, payoff, stop: int = 0) -> list:
+def _backward(P, R, payoff) -> list:
     """The g-computation recursion along the path that P and R are pinned to.
 
-    V[T][y_0..y_T] = payoff(y_T) and, down to t = stop (V is None below),
+    V[T][y_0..y_T] = payoff(y_T) and, down to t = 0,
     V[t][y_0..y_t] = R[t] * sum_y P[t+1][y_0..y_t, y] * V[t+1][y_0..y_t, y],
     with the factor R[t] only when R is given.  With R and payoff 1, V[t]
     is the lag-0 propensity of the rest of the path.  Without R and with
@@ -392,7 +363,7 @@ def _backward(P, R, payoff, stop: int = 0) -> list:
     V = [None] * (T + 1)
     V[T] = np.empty(P[T].shape)
     V[T][...] = payoff
-    for t in range(T - 1, stop - 1, -1):
+    for t in range(T - 1, -1, -1):
         V[t] = (P[t + 1] * V[t + 1]).sum(axis=-1)
         if R is not None:
             V[t] = R[t] * V[t]
@@ -469,7 +440,6 @@ class HistoryCheck:
     partition: AdaptationPartition
     expectations: dict[float, float]  # y_t value -> f_{T,t}(y_t)
     condition_i: bool
-    nonconstant: bool
     margin: float
     distortion_mass: float  # integral of |1 - s_t| against p_t over non-neutral y
 
@@ -587,13 +557,12 @@ def _exact(dgp: FiniteDgp, target: Sequence[int]) -> _Exact:
                     partition=partition,
                     expectations=expectations,
                     condition_i=cond_i,
-                    nonconstant=partition.nonconstant,
                     margin=margin,
                     distortion_mass=mass,
                 )
             )
         cond_i_all = all(c.condition_i for c in checks)
-        adaptive = [c for c in checks if c.nonconstant]
+        adaptive = [c for c in checks if c.partition.nonconstant]
         cond_ii = any(c.distortion_mass > 0.0 for c in adaptive)
         witness = max((c.margin for c in adaptive), default=0.0)
         per_time.append(
@@ -660,7 +629,7 @@ def check_monotone_process(dgp: FiniteDgp) -> bool:
     """
     for path in itertools.product(range(len(dgp.treatment_values)), repeat=dgp.horizon):
         P, _ = _pinned(dgp, path)
-        expected = _backward(P, None, dgp.outcome_values, stop=1)
+        expected = _backward(P, None, dgp.outcome_values)
         for f in expected[1:-1]:
             if (f[..., 1:] < f[..., :-1] - _NEUTRAL_TOL).any():
                 return False
@@ -673,14 +642,12 @@ class TheoremReport:
     opportunistic at every ratio-nonconstant time, at least one such time
     exists, and the report's witness margin is positive (beyond
     `_NEUTRAL_TOL`).  At a zero margin every non-neutral outcome has the
-    same f_{T,t}, so nothing separates the outcomes and the bias is zero."""
+    same f_{T,t}, so nothing separates the outcomes and the bias is zero.
+    The target and the opportunism verdicts are those of `opportunistic`."""
 
-    target: tuple[int, ...]
     g_formula: float
     associational: float
     bias: float
-    opportunistic_everywhere: bool
-    has_nonconstant: bool
     theorem_respected: bool
     opportunistic: OpportunisticReport
 
@@ -697,12 +664,9 @@ def verify_theorem1(dgp: FiniteDgp, target: Sequence[int]) -> TheoremReport:
         and report.witness_margin > _NEUTRAL_TOL
     )
     return TheoremReport(
-        target=report.target,
         g_formula=causal,
         associational=associational,
         bias=bias,
-        opportunistic_everywhere=report.opportunistic_everywhere,
-        has_nonconstant=report.has_nonconstant,
         theorem_respected=(not hypothesis) or bias < 0.0,
         opportunistic=report,
     )
@@ -722,7 +686,7 @@ def audit_zero_mean(dgp: FiniteDgp) -> float:
     worst = 0.0
     for path in itertools.product(range(len(dgp.treatment_values)), repeat=dgp.horizon):
         P, R = _pinned(dgp, path)
-        lag0 = _backward(P, R, 1.0, stop=1)
+        lag0 = _backward(P, R, 1.0)
         for t in range(1, dgp.horizon):
             lag1 = (P[t] * lag0[t]).sum(axis=-1)
             live = lag1 != 0.0
@@ -859,15 +823,12 @@ _MIN_MARGIN = 0.05
 
 
 def _random_row(rng: np.random.Generator, width: int):
-    """A Dirichlet row with, a quarter of the time, one entry forced to zero."""
+    """A Dirichlet row (width >= 2) with, a quarter of the time, one entry
+    forced to zero."""
     row = rng.dirichlet(np.ones(width))
-    if width > 1 and rng.random() < 0.25:
+    if rng.random() < 0.25:
         row[rng.integers(width)] = 0.0
-        total = row.sum()
-        if total > 0.0:
-            row = row / total
-        else:
-            row = np.full(width, 1.0 / width)
+        row = row / row.sum()
     return row
 
 

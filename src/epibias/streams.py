@@ -29,6 +29,7 @@ _U64_11 = np.uint64(11)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
 _2_POW_MINUS_53 = 2.0 ** -53
+_BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest float below 1
 
 
 def mix64(x: int) -> int:
@@ -55,11 +56,15 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
 
 
 def _to_unit_array(z: np.ndarray) -> np.ndarray:
-    # Top 53 bits, centered on half-steps: output lies strictly inside (0, 1),
-    # so inverse-CDF transforms never see 0 or 1 exactly.  Shifts `z` in place.
+    # Top 53 bits, centered on half-steps, in [2**-54, 1 - 2**-53]: inverse-CDF
+    # transforms never see 0 or 1 exactly.  Below 2**52 the half-step is
+    # exact; above it z + 0.5 rounds to the even neighbour, and the top value,
+    # 2**53 - 1, to 2**53, which the clamp takes to the largest float below 1
+    # (no other z lands there).  Shifts `z` in place.
     z >>= _U64_11
     unit = np.add(z, 0.5)
     unit *= _2_POW_MINUS_53
+    np.minimum(unit, _BELOW_ONE, out=unit)
     return unit
 
 

@@ -8,6 +8,7 @@ threshold-rule instance generator of the theorem tests, and
 `associational_exact` conditions.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -23,8 +24,9 @@ from epibias.streams import _2_POW_MINUS_53, _GOLDEN, _MASK64, mix64
 
 
 def _to_unit(z: int) -> float:
-    # Top 53 bits, centered on half-steps: output lies strictly inside (0, 1).
-    return ((z >> 11) + 0.5) * _2_POW_MINUS_53
+    # Top 53 bits, centered on half-steps; the top value rounds to 1.0, which
+    # is taken to the largest float below 1, so the output lies inside (0, 1).
+    return min(((z >> 11) + 0.5) * _2_POW_MINUS_53, math.nextafter(1.0, 0.0))
 
 
 def stream_key(master_seed: int, replicate_index: int) -> int:
@@ -152,7 +154,7 @@ class PathWeight(NamedTuple):
 def enumerate_paths(dgp):
     """All positive-probability (treatment path, outcome path) pairs, depth
     first as indices increase, by a recursive walk that reads one row at a
-    time through `FiniteDgp.rule_row` and `outcome_row`.
+    time from the kernel tables.
 
     Branches whose rule or outcome probability is exactly zero are dropped,
     so the result is the support of the joint law.
@@ -167,10 +169,10 @@ def enumerate_paths(dgp):
                 prob,
             ))
             return
-        for a, p_a in enumerate(dgp.rule_row(t, a_idx, y_idx)):
+        for a, p_a in enumerate(dgp.rule_kernels[t][a_idx + y_idx].tolist()):
             if p_a == 0.0:
                 continue
-            for y, p_y in enumerate(dgp.outcome_row(t + 1, a_idx + (a,), y_idx)):
+            for y, p_y in enumerate(dgp.outcome_kernels[t + 1][a_idx + (a,) + y_idx].tolist()):
                 if p_y == 0.0:
                     continue
                 walk(t + 1, a_idx + (a,), y_idx + (y,), prob * p_a * p_y)

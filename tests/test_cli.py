@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -219,20 +220,21 @@ MUTATIONS = {
     "empty outcome alphabet": (lambda data: data.update(outcome_values=[]), "outside alphabet"),
     "empty treatment alphabet": (lambda data: data.update(treatment_values=[]), "not empty"),
     "kernels not a mapping": (lambda data: data.update(rule_kernels=[]), "malformed"),
-    "boolean horizon": (lambda data: data.update(horizon=True), "horizon must be a number"),
+    "boolean horizon": (lambda data: data.update(horizon=True), "horizon must be an integer"),
     "string probabilities": (
         set_row("outcome_kernels", "1", "a=0;y=0", ["0.5", "0.5", "0.0"]),
         "entries must be numbers",
     ),
     "string outcome values": (
-        lambda data: data.update(outcome_values=["0", "1", "2"]), "outcome value must be a number"
+        lambda data: data.update(outcome_values=["0", "1", "2"]), "outcome values must be a number"
     ),
     "string initial index": (
         lambda data: data.update(initial_outcome_index="0"),
-        "initial outcome index must be a number",
+        "initial outcome index must be an integer",
     ),
     "boolean treatments": (
-        lambda data: data.update(treatment_values=[False, True]), "treatment value must be a number"
+        lambda data: data.update(treatment_values=[False, True]),
+        "treatment value must be an integer",
     ),
     "boolean rule row":
         (set_row("rule_kernels", "0", "a=;y=0", [True, False]), "entries must be numbers"),
@@ -718,6 +720,54 @@ class TestArbitraryText:
             echo = tmp_path / "echo.ini"
             echo.write_text(captured.out, encoding="utf-8")
             assert run_main(["print-config", "--config", str(echo)], capsys) == (code, captured)
+
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+class TestArbitraryJson:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_edited_instance_exits_0_or_2(self, tmp_path, capsys, data):
+        # One to three edits of the coin-epidemic JSON, anywhere in it: a
+        # value replaced, a key or list item deleted, or a number retyped.
+        root = [coin_epidemic().to_dict()]
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            parent, key = root, 0
+            for _ in range(data.draw(st.integers(0, 5), label="depth")):
+                node = parent[key]
+                if not isinstance(node, (dict, list)) or not node:
+                    break
+                parent, key = node, data.draw(st.sampled_from(
+                    list(node) if isinstance(node, dict) else range(len(node))))
+            value = parent[key]
+            edits = ["replace"] + ["delete"] * (parent is not root)
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                edits.append("retype")
+            edit = data.draw(st.sampled_from(edits), label="edit")
+            if edit == "delete":
+                del parent[key]
+            elif edit == "retype":
+                retyped = [float(value), str(value), bool(value)]
+                if math.isfinite(value):
+                    retyped.append(int(value))
+                parent[key] = data.draw(st.sampled_from(retyped), label="retyped")
+            else:
+                parent[key] = data.draw(JSON_VALUE, label="value")
+        payload = tmp_path / "dgp.json"
+        payload.write_text(json.dumps(root[0]), encoding="utf-8")
+        code, captured = run_main(["oracle", str(payload), "--out", str(tmp_path / "o")], capsys)
+        assert "Traceback" not in captured.err
+        assert code in (0, 2), (code, captured)
+        if code == 2:
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1, (
+                captured.err)
 
 
 class TestDashValues:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from reference import enumerate_paths
+from epibias import finite
 from epibias.errors import (
     InstanceTooLargeError,
     KernelValidationError,
@@ -48,8 +49,8 @@ def brute_force_joint(dgp):
             ys = (y0,) + y_tail
             prob = 1.0
             for t in range(T):
-                prob *= dgp.rule_row(t, a_path[:t], ys[: t + 1])[a_path[t]]
-                prob *= dgp.outcome_row(t + 1, a_path[: t + 1], ys[: t + 1])[y_tail[t]]
+                prob *= dgp.rule_kernels[t][a_path[:t] + ys[: t + 1]][a_path[t]]
+                prob *= dgp.outcome_kernels[t + 1][a_path[: t + 1] + ys[: t + 1]][y_tail[t]]
             yield a_path, ys, prob
 
 
@@ -63,7 +64,7 @@ def brute_force_g(dgp, target):
         ys = (y0,) + y_tail
         prob = 1.0
         for t in range(T):
-            prob *= dgp.outcome_row(t + 1, a_path[: t + 1], ys[: t + 1])[y_tail[t]]
+            prob *= dgp.outcome_kernels[t + 1][a_path[: t + 1] + ys[: t + 1]][y_tail[t]]
         total += prob * dgp.outcome_values[y_tail[-1]]
     return total
 
@@ -239,7 +240,7 @@ def test_moving_marginal_constant_outcome():
 def test_moving_marginal_at_last_step_is_one_step_expectation():
     dgp = coin_epidemic()
     f = first_history(dgp).expectations[1.0]
-    row = dgp.outcome_row(2, (0, 0), (0, 1))
+    row = dgp.outcome_kernels[2][0, 0, 0, 1].tolist()
     direct = sum(p * v for p, v in zip(row, dgp.outcome_values))
     assert f == pytest.approx(direct, abs=1e-12)
 
@@ -277,6 +278,31 @@ class TestValidation:
         with pytest.raises(InstanceTooLargeError):
             uniform_dgp(horizon=13, n_y=2, n_a=2)  # 4^13 > 10^7
 
+    def test_path_cap_is_exactly_ten_million_paths(self):
+        # The guard runs before any row is asked for: a row function that
+        # raises shows that an instance got past it.
+        class RowAsked(Exception):
+            pass
+
+        def row(t, a, y):
+            raise RowAsked
+
+        with pytest.raises(RowAsked):  # 10 outcomes, 1 treatment, horizon 7: 10^7 paths
+            FiniteDgp.from_functions(7, tuple(map(float, range(10))), (0,), 0, row, row)
+        with pytest.raises(InstanceTooLargeError):  # 909,091 x 11 = 10^7 + 1 paths
+            FiniteDgp.from_functions(
+                1, tuple(map(float, range(909_091))), tuple(range(11)), 0, row, row
+            )
+
+    @pytest.mark.parametrize("horizon,initial", [(0, 0), (1, -1)])
+    def test_horizon_and_initial_index_ranges(self, horizon, initial):
+        with pytest.raises(KernelValidationError):
+            FiniteDgp.from_functions(
+                horizon, (0.0, 1.0), (0, 1), initial,
+                lambda t, a, y: (0.5, 0.5),
+                lambda t, a, y: (0.5, 0.5),
+            )
+
     def test_treatment_values_not_truncated(self):
         with pytest.raises(KernelValidationError):
             FiniteDgp.from_functions(
@@ -312,6 +338,36 @@ def test_dict_round_trip():
     assert g_formula_exact(clone, (0, 0)) == g_formula_exact(dgp, (0, 0))
 
 
+def test_header_is_checked_once_per_instance(monkeypatch):
+    calls = []
+    check_header, from_functions = finite._check_header, FiniteDgp.from_functions.__func__
+
+    def counted_check(*header):
+        calls.append(header)
+        return check_header(*header)
+
+    monkeypatch.setattr(finite, "_check_header", counted_check)
+    coin_epidemic()
+    assert len(calls) == 1
+    data = coin_epidemic().to_dict()
+    calls.clear()
+    FiniteDgp.from_dict(data)
+    assert len(calls) == 1
+
+    tries = []
+
+    def counted_from_functions(cls, *args):
+        tries.append(args)
+        return from_functions(cls, *args)
+
+    monkeypatch.setattr(FiniteDgp, "from_functions", classmethod(counted_from_functions))
+    calls.clear()
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        random_opportunistic_dgp(rng)
+    assert len(calls) == len(tries) >= 20
+
+
 def test_equality_compares_every_table():
     assert coin_epidemic() == coin_epidemic()
     assert coin_epidemic() != reversed_coin_epidemic()
@@ -322,7 +378,7 @@ def test_kernels_are_read_only_arrays_in_key_order():
     dgp = coin_epidemic()
     assert dgp.outcome_kernels[2].shape == (2, 2, 3, 3, 3)
     assert dgp.rule_kernels[1].shape == (2, 3, 3, 2)
-    assert dgp.outcome_row(2, (0, 1), (0, 1)) == (0.0, 0.7, 0.3)
+    assert dgp.outcome_kernels[2][0, 1, 0, 1].tolist() == [0.0, 0.7, 0.3]
     assert list(dgp.to_dict()["rule_kernels"]["1"])[:4] == [
         "a=0;y=0,0", "a=0;y=0,1", "a=0;y=0,2", "a=0;y=1,0"
     ]
@@ -403,7 +459,7 @@ def brute_force_f(dgp, target_idx, ys):
         full = ys + tail
         prob = 1.0
         for s in range(t, T):
-            prob *= dgp.outcome_row(s + 1, target_idx[: s + 1], full[: s + 1])[full[s + 1]]
+            prob *= dgp.outcome_kernels[s + 1][target_idx[: s + 1] + full[: s + 1]][full[s + 1]]
         total += prob * dgp.outcome_values[full[-1]]
     return total
 
@@ -430,9 +486,8 @@ def test_opportunism_report_matches_brute_force():
                     for value, s in hc.partition.ratios.items():
                         step = ys + (dgp.outcome_values.index(value),)
                         mass = sum(p for a, y, p in joint if a == target and y[: t + 1] == step)
-                        assert s * dgp.outcome_row(t, target[:t], ys)[step[-1]] == pytest.approx(
-                            mass / future, abs=1e-12
-                        )
+                        p_step = dgp.outcome_kernels[t][target[:t] + ys][step[-1]]
+                        assert s * p_step == pytest.approx(mass / future, abs=1e-12)
                         assert hc.expectations[value] == pytest.approx(
                             brute_force_f(dgp, target, step), abs=1e-12
                         )
@@ -490,6 +545,20 @@ class TestTablePath:
         from_rows = _error_text(row_fn)
         from_table = _error_text({1: _as_table(row_fn)})
         assert from_table == from_rows
+
+    @pytest.mark.parametrize("bad_row,problem", [
+        ((float("nan"), 0.5, 0.5), "non-finite entry in"),
+        ((0.5, 0.5, 0.5), "does not sum to 1:"),
+        ((1.5, -0.5, 0.0), "negative entry in"),
+    ], ids=["nan", "row-sum", "negative"])
+    def test_error_names_the_first_bad_row(self, bad_row, problem):
+        # Two bad rows, and every good row holds zeros.
+        def row_fn(t, a, y):
+            return bad_row if (a, y) in {((0,), (2,)), ((1,), (0,))} else (1.0, 0.0, 0.0)
+
+        assert _error_text(row_fn) == (
+            f"outcome kernel t=1 row a=(0,) y=(2,): {problem} {list(bad_row)!r}"
+        )
 
     def test_wrong_history_shape_is_refused(self):
         table = np.full((3, 2, 3), 1.0 / 3.0)  # the history axes swapped

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from epibias.policies import ExogenousRule
 from epibias.streams import (
     counter_uniform_array,
     derive_substream_seed,
@@ -57,6 +58,17 @@ def test_counter_uniform_in_open_interval():
     us = [counter_uniform(key, c) for c in range(2000)]
     assert all(0.0 < u < 1.0 for u in us)
     assert abs(np.mean(us) - 0.5) < 0.02
+
+
+def test_top_draw_stays_below_one():
+    # This key's first draw has top 53 bits 2**53 - 1, whose half-step rounds
+    # to 2**53: unclamped it would be 1.0, which ExogenousRule(1.0) never
+    # treats on.
+    key = 0xF56E309E96A04737
+    u = counter_uniform_array(np.array([key], dtype=np.uint64), 0)
+    assert u[0] == np.nextafter(1.0, 0.0)
+    assert counter_uniform(key, 0) == u[0]
+    assert ExogenousRule(1.0).decide_batch(1, None, None, u).tolist() == [1]
 
 
 def test_counter_uniform_array_matches_scalar():

@@ -72,6 +72,18 @@ class TestOpportunismChecks:
         )
         assert check_monotone_process(dgp)
 
+    def test_the_start_is_not_a_time_checked(self):
+        # y_1 = 1 - y_0, then y_2 = y_1: f_{2,1} rises in y_1, and only
+        # f_{2,0} falls, over y_0, which is the fixed start, not a time 1..T-1.
+        def outcome_fn(t, a, y):
+            y_t = 1 - y[-1] if t == 1 else y[-1]
+            return (1.0, 0.0) if y_t == 0 else (0.0, 1.0)
+
+        dgp = FiniteDgp.from_functions(
+            2, (0.0, 1.0), (0, 1), 0, outcome_fn, lambda t, a, y: (0.5, 0.5)
+        )
+        assert check_monotone_process(dgp)
+
     def test_anti_monotone_process_detected(self):
         # Higher intermediate outcome pushes the final outcome DOWN.
         def outcome_fn(t, a, y):
@@ -89,13 +101,13 @@ class TestTheoremOnKnownInstances:
     def test_worked_example(self):
         report = verify_theorem1(coin_epidemic(), (0, 0))
         assert report.bias == pytest.approx(-0.5, abs=1e-12)
-        assert report.opportunistic_everywhere
+        assert report.opportunistic.opportunistic_everywhere
         assert report.theorem_respected
 
     def test_reversed_example_respects_theorem_vacuously(self):
         report = verify_theorem1(reversed_coin_epidemic(), (0, 0))
         assert report.bias == pytest.approx(0.5, abs=1e-12)
-        assert not report.opportunistic_everywhere
+        assert not report.opportunistic.opportunistic_everywhere
         assert report.theorem_respected
 
     def test_exogenous_rule_is_unbiased(self):
@@ -114,6 +126,29 @@ class TestIdentities:
         rng = np.random.default_rng(159)
         for _ in range(25):
             assert audit_decomposition(random_dgp(rng)) <= 1e-10
+
+    def test_zero_mean_audit_reports_a_row_that_does_not_sum_to_one(self, monkeypatch):
+        # The residual sum_y (s_t(y) - 1) p_t(y) is 1 - sum_y p_t(y), so
+        # outcome rows scaled by 1 + 1e-6 show as a residual of 1e-6.
+        pinned = finite._pinned
+
+        def scaled(dgp, path):
+            P, R = pinned(dgp, path)
+            return [None] + [p * (1.0 + 1e-6) for p in P[1:]], R
+
+        monkeypatch.setattr(finite, "_pinned", scaled)
+        assert audit_zero_mean(coin_epidemic()) == pytest.approx(1e-6, rel=1e-6)
+
+    def test_decomposition_audit_reports_the_largest_disagreement(self, monkeypatch):
+        # coin-epidemic can follow (0, 0) and (0, 1) only; the second is off by 2e-6.
+        via_ratios = finite.associational_via_ratios
+        monkeypatch.setattr(finite, "associational_via_ratios",
+                            lambda dgp, target: via_ratios(dgp, target) + 1e-6 * (1 + sum(target)))
+        assert audit_decomposition(coin_epidemic()) == pytest.approx(2e-6, rel=1e-6)
+
+    def test_ratio_route_refuses_an_unreachable_target(self):
+        with pytest.raises(UndefinedConditionalError, match="probability zero"):
+            associational_via_ratios(coin_epidemic(), (1, 0))  # step one never treats
 
     def test_ratio_route_matches_path_route(self):
         rng = np.random.default_rng(358)
@@ -138,7 +173,7 @@ class TestRandomizedTheoremSweep:
         for _ in range(20):
             dgp, target = random_opportunistic_dgp(rng)
             report = verify_theorem1(dgp, target)
-            assert report.opportunistic_everywhere
+            assert report.opportunistic.opportunistic_everywhere
             assert report.bias < 0.0
             assert report.theorem_respected
 
@@ -158,8 +193,8 @@ class TestRandomizedTheoremSweep:
                     continue
                 assert report.theorem_respected, target
                 hypothesis = (
-                    report.opportunistic_everywhere
-                    and report.has_nonconstant
+                    report.opportunistic.opportunistic_everywhere
+                    and report.opportunistic.has_nonconstant
                     and report.opportunistic.witness_margin > 1e-12
                 )
                 if not hypothesis and abs(report.bias) > 1e-12:
@@ -175,8 +210,8 @@ class TestRandomizedTheoremSweep:
             dgp, target, threshold = reference.random_monotone_threshold_dgp(rng)
             assert check_monotone_process(dgp)
             report = verify_theorem1(dgp, target)
-            assert report.opportunistic_everywhere
-            assert report.has_nonconstant
+            assert report.opportunistic.opportunistic_everywhere
+            assert report.opportunistic.has_nonconstant
             assert report.bias < 0.0
 
 
@@ -260,8 +295,12 @@ def test_associational_mean_of_an_all_negative_zero_outcome_is_positive_zero():
 # fuzz tables and the opportunism passes were rebuilt with fewer numpy calls,
 # with one field changed since: a zero witness margin puts
 # random_dgp(default_rng(12)) at target (0, 1, 0), bias 2.2e-16, outside the
-# theorem's hypothesis, so theorem_respected is True there.
-REPORT_DIGEST = "c21689eaedb499eaddbf25d4da9b233f49dc730956b1245fb569b4c8e99dc917"
+# theorem's hypothesis, so theorem_respected is True there.  The reports lost
+# four fields that repeated others (HistoryCheck.nonconstant, and
+# TheoremReport's target, opportunistic_everywhere and has_nonconstant); the
+# digest moved with them, and the earlier reports with those four left out
+# hash to it.
+REPORT_DIGEST = "51d427ba9c520790de9f513a108b1446bd14b002cb293e70e98837d95dbcf74e"
 
 
 def _canonical(value):
@@ -326,6 +365,30 @@ def test_fuzz_instance_is_checked_once(monkeypatch, capsys):
     assert main(["fuzz-theorem", "--count", "20", "--seed", "42"]) == 0
     assert "20 respected" in capsys.readouterr().out
     assert counts["checked"] == counts["built"] >= 20
+
+
+def test_zero_bias_under_the_hypothesis_is_a_violation(monkeypatch):
+    # The theorem's inequality is strict: coin-epidemic meets the hypothesis,
+    # and an associational mean equal to the g-formula refutes it.
+    monkeypatch.setattr(finite, "associational_exact", finite.g_formula_exact)
+    report = verify_theorem1(coin_epidemic(), (0, 0))
+    assert report.bias == 0.0
+    assert not report.theorem_respected
+
+
+def test_generator_gives_up_after_500_tries(monkeypatch):
+    tries = []
+    from_functions = FiniteDgp.from_functions.__func__
+
+    def counted(cls, *args):
+        tries.append(args)
+        return from_functions(cls, *args)
+
+    monkeypatch.setattr(FiniteDgp, "from_functions", classmethod(counted))
+    monkeypatch.setattr(finite, "_MIN_MARGIN", float("inf"))  # no candidate is accepted
+    with pytest.raises(RuntimeError, match="in 500 tries"):
+        random_opportunistic_dgp(np.random.default_rng(0))
+    assert len(tries) == 500
 
 
 def test_opportunism_report_is_kept_per_target():
