@@ -76,6 +76,17 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
+def _write_outputs(out: str, csvs: list[tuple], svgs: list[tuple[str, str]]) -> None:
+    """Create `out`, write each (name, header, rows) CSV and then each
+    (name, text) SVG into it, and print `wrote <path>` as each is written."""
+    os.makedirs(out, exist_ok=True)
+    for write, files in ((_write_csv, csvs), (_write_text, svgs)):
+        for name, *content in files:
+            path = os.path.join(out, name)
+            write(path, *content)
+            print(f"wrote {path}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -84,37 +95,22 @@ def run_figure2(args, config: ExperimentConfig) -> int:
     params = config.sir
     keys = stream_keys(derive_substream_seed(config.seed, 2), [0])
     rule = ForcedSequenceRule((0,) * params.horizon)
-    s_series = [params.population - params.initial_infected]
-    i_series = [params.initial_infected]
-    r_series = [0.0]
-    for *_, s, i, r in simulate(params, rule, keys):
-        s_series.append(s.item())
-        i_series.append(i.item())
-        r_series.append(r.item())
-
-    xs = [float(t) for t in range(params.horizon + 1)]
+    sir = [(params.population - params.initial_infected, params.initial_infected, 0.0)]
+    sir += [(s.item(), i.item(), r.item()) for *_, s, i, r in simulate(params, rule, keys)]
     rows = [
         [str(t), fmt(s), fmt(i), fmt(r), fmt(1.0 - s / params.population)]
-        for t, (s, i, r) in enumerate(zip(s_series, i_series, r_series))
+        for t, (s, i, r) in enumerate(sir)
     ]
-
-    os.makedirs(config.out, exist_ok=True)
-    csv_path = os.path.join(config.out, "trajectory.csv")
-    svg_path = os.path.join(config.out, "trajectory.svg")
-    _write_csv(csv_path, ["t", "s", "i", "r", "y"], rows)
+    days = tuple(float(t) for t in range(len(sir)))
     chart = render_line_chart(
-        [
-            LineSeries("susceptible", tuple(xs), tuple(s_series)),
-            LineSeries("infected", tuple(xs), tuple(i_series)),
-            LineSeries("recovered", tuple(xs), tuple(r_series)),
-        ],
+        [LineSeries(label, days, series)
+         for label, series in zip(("susceptible", "infected", "recovered"), zip(*sir))],
         title="Epidemic trajectory without intervention",
         x_label="day",
         y_label="individuals",
     )
-    _write_text(svg_path, chart)
-    print(f"wrote {csv_path}")
-    print(f"wrote {svg_path}")
+    _write_outputs(config.out, [("trajectory.csv", ["t", "s", "i", "r", "y"], rows)],
+                   [("trajectory.svg", chart)])
     return 0
 
 
@@ -126,112 +122,59 @@ def run_figures34(args, config: ExperimentConfig) -> int:
     )
     print(f"causal mean Y_T = {fmt(causal.mean)} ({config.replicates} replicates)")
 
-    # One associational pass scores every threshold.
-    shared = config.shared_pass
-    associational = {}
-    for threshold, rule in zip(config.thresholds, shared.rules):
+    # One associational pass scores every threshold; a threshold that
+    # retains nothing adds only its summary row.
+    days = tuple(float(t) for t in range(params.horizon + 1))
+    y0 = fmt(params.initial_outcome)
+    evolution_rows, summary_rows, curves, finals = [], [], [], []
+    for threshold, rule in zip(config.thresholds, config.shared_pass.rules):
         try:
-            estimate = estimate_associational(shared, rule)
+            estimate = estimate_associational(config.shared_pass, rule)
         except EmptyConditioningError as exc:
-            associational[threshold] = None
             print(f"threshold {threshold:g}: no retained trajectories "
                   f"({exc.replicates_total} simulated)")
+            summary_rows.append(
+                [fmt(threshold), fmt(causal.mean), "", "", "0", str(config.replicates)])
             continue
-        associational[threshold] = estimate
+        bias = estimate.mean - causal.mean
         print(
             f"threshold {threshold:g}: retained "
-            f"{estimate.replicates_retained}/{estimate.replicates_total}, "
-            f"bias {fmt(estimate.mean - causal.mean)}"
+            f"{estimate.replicates_retained}/{estimate.replicates_total}, bias {fmt(bias)}"
         )
-
-    y0 = params.initial_outcome
-    evolution_rows = []
-    evolution_series = []
-    for threshold, estimate in associational.items():
-        if estimate is None:
-            continue
-        evolution_rows.append([fmt(threshold), "0", fmt(y0), fmt(y0), "0"])
+        evolution_rows.append([fmt(threshold), "0", y0, y0, "0"])
         biases = [0.0]
-        for t in range(1, params.horizon + 1):
-            c = causal.per_time_means[t - 1]
-            a = estimate.per_time_means[t - 1]
+        for t, (c, a) in enumerate(zip(causal.per_time_means, estimate.per_time_means), 1):
             evolution_rows.append([fmt(threshold), str(t), fmt(c), fmt(a), fmt(a - c)])
             biases.append(a - c)
-        evolution_series.append(
-            LineSeries(
-                f"threshold {threshold:g}",
-                tuple(float(t) for t in range(params.horizon + 1)),
-                tuple(biases),
-            )
-        )
+        curves.append(LineSeries(f"threshold {threshold:g}", days, tuple(biases)))
+        finals.append((threshold, bias))
+        summary_rows.append([
+            fmt(threshold), fmt(causal.mean), fmt(estimate.mean), fmt(bias),
+            str(estimate.replicates_retained), str(estimate.replicates_total),
+        ])
 
-    summary_rows = []
-    for threshold, estimate in associational.items():
-        if estimate is None:
-            summary_rows.append(
-                [fmt(threshold), fmt(causal.mean), "", "", "0", str(config.replicates)]
-            )
-        else:
-            summary_rows.append(
-                [
-                    fmt(threshold),
-                    fmt(causal.mean),
-                    fmt(estimate.mean),
-                    fmt(estimate.mean - causal.mean),
-                    str(estimate.replicates_retained),
-                    str(estimate.replicates_total),
-                ]
-            )
-
-    os.makedirs(config.out, exist_ok=True)
-    evolution_csv = os.path.join(config.out, "bias_evolution.csv")
-    summary_csv = os.path.join(config.out, "bias_summary.csv")
-    _write_csv(
-        evolution_csv,
-        ["threshold", "t", "causal_mean", "associational_mean", "bias"],
-        evolution_rows,
-    )
-    _write_csv(
-        summary_csv,
-        ["threshold", "causal_T", "associational_T", "bias_T", "retained", "total"],
-        summary_rows,
-    )
-    print(f"wrote {evolution_csv}")
-    print(f"wrote {summary_csv}")
-
-    if evolution_series:
-        evolution_svg = os.path.join(config.out, "bias_evolution.svg")
-        _write_text(
-            evolution_svg,
-            render_line_chart(
-                evolution_series,
-                title="Bias of the associational estimate over time",
-                x_label="day",
-                y_label="associational minus causal mean",
-            ),
-        )
-        print(f"wrote {evolution_svg}")
-
-        kept = [(thr, est) for thr, est in associational.items() if est is not None]
-        summary_svg = os.path.join(config.out, "bias_summary.svg")
-        _write_text(
-            summary_svg,
-            render_line_chart(
-                [
-                    LineSeries(
-                        "final bias",
-                        tuple(thr for thr, _ in kept),
-                        tuple(est.mean - causal.mean for _, est in kept),
-                    )
-                ],
-                title="Final-time bias by intervention threshold",
-                x_label="threshold",
-                y_label="associational minus causal mean",
-            ),
-        )
-        print(f"wrote {summary_svg}")
-
-    if all(estimate is None for estimate in associational.values()):
+    svgs = [] if not curves else [
+        ("bias_evolution.svg", render_line_chart(
+            curves,
+            title="Bias of the associational estimate over time",
+            x_label="day",
+            y_label="associational minus causal mean",
+        )),
+        ("bias_summary.svg", render_line_chart(
+            [LineSeries("final bias", *zip(*finals))],
+            title="Final-time bias by intervention threshold",
+            x_label="threshold",
+            y_label="associational minus causal mean",
+        )),
+    ]
+    _write_outputs(config.out, [
+        ("bias_evolution.csv", ["threshold", "t", "causal_mean", "associational_mean", "bias"],
+         evolution_rows),
+        ("bias_summary.csv",
+         ["threshold", "causal_T", "associational_T", "bias_T", "retained", "total"],
+         summary_rows),
+    ], svgs)
+    if not curves:
         print("error: conditioning was empty at every threshold", file=sys.stderr)
         return 3
     return 0
@@ -311,10 +254,6 @@ def run_oracle(args, config: ExperimentConfig) -> int:
     rows.append(["has_nonconstant", "", "", "", _bool_cell(opportunistic.has_nonconstant)])
     rows.append(["theorem_respected", "", "", "", _bool_cell(report.theorem_respected)])
 
-    os.makedirs(config.out, exist_ok=True)
-    report_csv = os.path.join(config.out, "oracle_report.csv")
-    _write_csv(report_csv, ["kind", "t", "history", "outcome", "value"], rows)
-
     adaptive = [tc.t for tc in opportunistic.per_time if tc.nonconstant]
     print(f"instance: {args.instance} (horizon {dgp.horizon})")
     print(f"target treatment path: {opportunistic.target}")
@@ -324,7 +263,8 @@ def run_oracle(args, config: ExperimentConfig) -> int:
     print(f"times with nonconstant ratio: {adaptive}")
     print(f"opportunistic at every such time: {opportunistic.opportunistic_everywhere}")
     print(f"theorem respected: {report.theorem_respected}")
-    print(f"wrote {report_csv}")
+    _write_outputs(config.out,
+                   [("oracle_report.csv", ["kind", "t", "history", "outcome", "value"], rows)], [])
     return 0
 
 
@@ -440,12 +380,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_dash_values(parser, sys.argv[1:] if argv is None else argv))
 
     try:
-        flags = {
-            key: parse_setting("experiment", key, text)
+        flags = {  # argparse reads the value of `--key=--` as [], not as "--"
+            key: parse_setting("experiment", key, "--" if text == [] else text)
             for key, text in vars(args).items()
             if key in SETTINGS["experiment"] and text is not None
         }
         config = apply_overrides(load_config(args.config), **flags)
+        if "\0" in config.out:  # which os refuses with ValueError, not OSError
+            raise ConfigError(f"out must not hold a NUL character, got {config.out!r}")
         return args.handler(args, config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

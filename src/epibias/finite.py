@@ -679,9 +679,12 @@ def verify_theorem1(dgp: FiniteDgp, target: Sequence[int]) -> TheoremReport:
 def audit_zero_mean(dgp: FiniteDgp) -> float:
     """Max |sum_y (s_t(y) - 1) p_t(y | ...)| over all rows and futures.
 
-    The lag-1 propensity is by construction the p_t-average of the lag-0
-    propensity, so this sum is identically zero; the audit exposes any
-    disagreement between the ratio code paths.
+    This is the appendix's zero-mean identity for the ratios s_t = lag0 /
+    lag1.  The lag-1 propensity here is the p_t-average of the same lag-0
+    propensity, so the sum is 1 - sum_y p_t(y) up to rounding: the audit
+    measures how far each outcome row reached along a treatment path is
+    from summing to one.  It does not compare two ways of computing the
+    ratios.
     """
     worst = 0.0
     for path in itertools.product(range(len(dgp.treatment_values)), repeat=dgp.horizon):

@@ -19,7 +19,9 @@ time to the copy; the checkout itself is never written.  The operators are:
 A mutant is first run against its module's own test files with `-x`.  One
 that no test there fails is run against all of Tier-1, unless it is listed
 as equivalent (below).  A mutant that Tier-1 passes too is a survivor: the
-tests cannot tell it from the code.  Each output line is one mutant, as
+tests cannot tell it from the code.  Every pytest run, the unmutated ones
+too, is held to `MEMORY_LIMIT` bytes of address space, so a mutant that asks
+for more fails its run and is killed.  Each output line is one mutant, as
 `<fate> <file>:<line> <id>`, where the fate is killed, timeout (counted as
 killed), listed (its own tests pass and it is in the list, so Tier-1 was not
 run) or SURVIVED (its own tests and Tier-1 pass), and the id is
@@ -42,6 +44,7 @@ import argparse
 import ast
 import json
 import os
+import resource
 import shutil
 import signal
 import subprocess
@@ -54,6 +57,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 EQUIVALENTS = Path(__file__).with_name("mutants_equivalent.json")
 TIER1 = ["--continue-on-collection-errors"]
+# Address space of each pytest run, in bytes (`ulimit -v 3000000`): a mutant
+# that asks for more fails its run, and is killed, instead of filling the host.
+MEMORY_LIMIT = 3_000_000 * 1024
 
 # Each module's own test files; a module not named here has tests/test_<name>.py.
 OWN_TESTS = {
@@ -187,6 +193,10 @@ def _copy_checkout(dest: Path) -> None:
     ))
 
 
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
 def _pytest(copy: Path, args: list[str], timeout: float) -> str:
     """'passed', 'failed' or 'timeout' for one pytest run in the copy.  No
     bytecode is written, so a mutant of the same size is never run from the
@@ -197,6 +207,7 @@ def _pytest(copy: Path, args: list[str], timeout: float) -> str:
                                                         os.environ.get("PYTHONPATH")])))
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args]
     with subprocess.Popen(command, cwd=copy, env=env, start_new_session=True,
+                          preexec_fn=_limit_memory,
                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as run:
         try:
             return "passed" if run.wait(timeout) == 0 else "failed"

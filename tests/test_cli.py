@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from epibias.cli import _attach_dash_values, build_parser, fmt, main
 from epibias.config import SETTINGS, ExperimentConfig, dump_config
@@ -150,29 +150,66 @@ class TestFigures34:
         assert summary[1][4] == "0"
         assert not (out / "bias_summary.svg").exists()
 
-    # sha256 of bias_evolution.csv and bias_summary.csv at seed 42, default
-    # thresholds, 9,888 = 8,192 + 1,696 replicates (a full chunk and a short
-    # one), recorded before associational replicates were retired from the
-    # day loop at their first divergence; the bytes must not move.
+    # sha256 of bias_evolution.csv, bias_summary.csv, bias_evolution.svg and
+    # bias_summary.svg at seed 42, default thresholds, 9,888 = 8,192 + 1,696
+    # replicates (a full chunk and a short one).  The CSVs were recorded
+    # before associational replicates were retired from the day loop at their
+    # first divergence, the SVGs before figures34 was built in one pass; the
+    # bytes must not move.
+    FILES = ("bias_evolution.csv", "bias_summary.csv", "bias_evolution.svg", "bias_summary.svg")
     GOLDEN = {
         "full-path": ("10947f385ff96b39cb27ea249334a391d13b413813c94bc8dc8ff8c3c760acad",
-                      "ad5121d32603c0cdd136f70357c7d587e6b700c1318d6f988976dfe145e32f63"),
+                      "ad5121d32603c0cdd136f70357c7d587e6b700c1318d6f988976dfe145e32f63",
+                      "7b58b0ce4dd3dd6a08956695070b90f0eca7a6eeb59eaf5dc70a5a021c5d5887",
+                      "62cce22b1f6be802334acb9c8bd389aea8f1f60cb2f15d3e8baeec6980bb0771"),
         "per-time": ("ddab8a23f4fb29c6c61f74c0695318024416a0b07a2c04c9d059cecaff23d03e",
-                     "ad5121d32603c0cdd136f70357c7d587e6b700c1318d6f988976dfe145e32f63"),
+                     "ad5121d32603c0cdd136f70357c7d587e6b700c1318d6f988976dfe145e32f63",
+                     "53ef7075c6641dc208d850e631d91bca5c519c6851adcba55798ebdf874cf1ee",
+                     "62cce22b1f6be802334acb9c8bd389aea8f1f60cb2f15d3e8baeec6980bb0771"),
     }
+    GOLDEN_ARGV = ["figures34", "--seed", "42", "--replicates", "9888"]
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("conditioning", sorted(GOLDEN))
     def test_golden_bytes(self, tmp_path, capsys, conditioning, threads):
-        code = main(["figures34", "--out", str(tmp_path), "--seed", "42",
-                     "--replicates", "9888", "--conditioning", conditioning,
+        code = main([*self.GOLDEN_ARGV, "--out", str(tmp_path), "--conditioning", conditioning,
                      "--threads", str(threads)])
         assert code == 0
         digests = tuple(
-            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in ("bias_evolution.csv", "bias_summary.csv")
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.FILES
         )
         assert digests == self.GOLDEN[conditioning]
+
+    @pytest.mark.parametrize("conditioning", sorted(GOLDEN))
+    def test_golden_partial_run_stdout(self, tmp_path, capsys, conditioning):
+        code, captured = run_main([*self.GOLDEN_ARGV, "--out", str(tmp_path), "--conditioning",
+                                   conditioning, "--thresholds", "0.0001,0.4"], capsys)
+        assert code == 0 and captured.err == ""
+        assert captured.out.splitlines() == [
+            "causal mean Y_T = 0.7559477278 (9888 replicates)",
+            "threshold 0.0001: no retained trajectories (9888 simulated)",
+            "threshold 0.4: retained 342/9888, bias -0.538949305",
+            *(f"wrote {tmp_path / name}" for name in self.FILES),
+        ]
+
+    @pytest.mark.parametrize("conditioning", sorted(GOLDEN))
+    def test_golden_all_empty_run(self, tmp_path, capsys, conditioning):
+        # Exit 3 still writes both CSVs for diagnosis, and neither SVG.
+        code, captured = run_main([*self.GOLDEN_ARGV, "--out", str(tmp_path), "--conditioning",
+                                   conditioning, "--thresholds", "0.0001"], capsys)
+        assert code == 3
+        assert captured.err == "error: conditioning was empty at every threshold\n"
+        assert captured.out.splitlines() == [
+            "causal mean Y_T = 0.7559477278 (9888 replicates)",
+            "threshold 0.0001: no retained trajectories (9888 simulated)",
+            *(f"wrote {tmp_path / name}" for name in self.FILES[:2]),
+        ]
+        assert sorted(os.listdir(tmp_path)) == sorted(self.FILES[:2])
+        assert (tmp_path / "bias_evolution.csv").read_bytes() == (
+            b"threshold,t,causal_mean,associational_mean,bias\n")
+        assert (tmp_path / "bias_summary.csv").read_bytes() == (
+            b"threshold,causal_T,associational_T,bias_T,retained,total\n"
+            b"0.0001,0.7559477278,,,0,9888\n")
 
 
 def rename_key(table, t, old, new):
@@ -544,6 +581,23 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith(  # naming the path
             "error: I/O failure (/proc/definitely-not-writable): ")
 
+    @pytest.mark.parametrize("argv,blocked,written", [
+        (["figure2"], "trajectory.svg", ["trajectory.csv"]),
+        (["figures34", "--replicates", "400", "--thresholds", "0.05,0.3"], "bias_evolution.svg",
+         ["bias_evolution.csv", "bias_summary.csv"]),
+        (["oracle", "coin-epidemic"], "oracle_report.csv", []),
+    ], ids=["figure2", "figures34", "oracle"])
+    def test_io_failure_mid_command_exits_4(self, tmp_path, capsys, argv, blocked, written):
+        # A directory where an output file goes stops the command there; each
+        # file written before it has its `wrote` line, and no other has one.
+        (tmp_path / blocked).mkdir()
+        code, captured = run_main([*argv, "--out", str(tmp_path)], capsys)
+        assert code == 4 and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: I/O failure ({tmp_path / blocked}): ")
+        assert [line for line in captured.out.splitlines() if line.startswith("wrote ")] == [
+            f"wrote {tmp_path / name}" for name in written]
+        assert sorted(os.listdir(tmp_path)) == sorted([blocked, *written])
+
 
 # Strings a hand-written INI value or flag might hold: non-finite and extreme
 # floats, signed zero, configparser interpolation syntax, empty, hex, booleans,
@@ -594,6 +648,18 @@ class TestSettingsBoundary:
         code, captured = run_main(argv, capsys)
         assert code == 2 and captured.err.startswith("error:") and "out" in captured.err
         assert os.listdir(tmp_path) == ["empty.ini"]
+
+    @pytest.mark.parametrize("source", ["ini", "flag"])
+    def test_nul_in_out_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, source):
+        # os refuses such a path with ValueError, which once escaped as a traceback.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "nul.ini"
+        cfg.write_text("[experiment]\nout = a\0b\n")
+        argv = ["--config", str(cfg)] if source == "ini" else ["--out", "a\0b"]
+        code, captured = run_main(["figures34", "--replicates", "20", *argv], capsys)
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: out must not hold a NUL character, got 'a\\x00b'\n"
+        assert os.listdir(tmp_path) == ["nul.ini"]
 
     @pytest.mark.parametrize("text", ["abc", "1.5", "0x10", ""])
     @pytest.mark.parametrize("key", ["seed", "replicates", "threads"])
@@ -721,6 +787,35 @@ class TestArbitraryText:
             echo.write_text(captured.out, encoding="utf-8")
             assert run_main(["print-config", "--config", str(echo)], capsys) == (code, captured)
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(setting=st.sampled_from([(s, k) for s in SETTINGS for k in SETTINGS[s]]),
+           text=ANY_TEXT)
+    def test_figures34_exits_with_a_documented_code(
+        self, tmp_path, monkeypatch, capsys, setting, text
+    ):
+        # The same text through a 20-replicate figures34, which also runs the
+        # passes and writes the files: a documented exit code and one error
+        # line, or exit 0.  An exception escaping `main` fails the test.
+        section, key = setting
+        if key == "out":  # the run writes where `out` says; keep that in tmp_path
+            assume(not text.strip().startswith("/") and ".." not in text)
+        run = tmp_path / "run"
+        run.mkdir(exist_ok=True)
+        monkeypatch.chdir(run)
+        cfg = tmp_path / "any.ini"
+        cfg.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
+        argv = ["figures34", "--replicates", "20"]
+        argvs = [[*argv, "--config", str(cfg)]]
+        if section == "experiment" and key != "replicates":  # a flag would replace the 20
+            argvs.append([*argv, f"--{key}={text}"])
+        for argv in argvs:
+            code, captured = run_main(argv, capsys)
+            assert code in (0, 2, 3, 4) and "Traceback" not in captured.err, (argv, captured)
+            if code:
+                assert captured.err.startswith("error:") and captured.err.count("\n") == 1, (
+                    argv, captured.err)
+
 
 JSON_VALUE = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -822,3 +917,19 @@ class TestDashValues:
     def test_joined_flag_leaves_the_next_token_alone(self):
         argv = ["print-config", "--out=-x", "-y"]
         assert _attach_dash_values(build_parser(), argv) == argv
+
+    @pytest.mark.parametrize("key", sorted(SETTINGS["experiment"]))
+    def test_double_dash_value_parses_like_its_ini_key(self, tmp_path, capsys, key):
+        # argparse hands `--key=--` over as an empty list, which once escaped
+        # as a traceback.
+        cfg = tmp_path / "dash.ini"
+        cfg.write_text(f"[experiment]\n{key} = --\n")
+        from_file = run_main(["print-config", "--config", str(cfg)], capsys)
+        from_flag = run_main(["print-config", f"--{key}=--"], capsys)
+        assert from_flag == from_file
+        code, captured = from_flag
+        assert "Traceback" not in captured.err
+        if key == "out":
+            assert code == 0 and "out = --\n" in captured.out
+        else:
+            assert code == 2 and captured.err.startswith("error:")
