@@ -78,8 +78,28 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+def _span(values: list[float]) -> tuple[float, float]:
+    lo, hi = min(values), max(values)
+    return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+
+
+def _num(value: float) -> str:
+    """A pixel coordinate: a float with two decimals, an int as it is."""
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
+
+
+def _line(x1, y1, x2, y2, color: str, width: float) -> str:
+    return (f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
+            f'stroke="{color}" stroke-width="{width}"/>')
+
+
+def _text(x, y, size: int, body: str, anchor: str | None = "middle", rotate: bool = False) -> str:
+    """A sans-serif label, escaped, turned to read upwards about (x, y) if `rotate`."""
+    align = f' text-anchor="{anchor}"' if anchor else ""
+    turn = f' transform="rotate(-90 {_num(x)} {_num(y)})"' if rotate else ""
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (f'<text x="{_num(x)}" y="{_num(y)}"{align} font-family="sans-serif" '
+            f'font-size="{size}"{turn}>{body}</text>')
 
 
 def render_line_chart(
@@ -92,14 +112,8 @@ def render_line_chart(
     if not series:
         raise ValueError("nothing to plot")
 
-    xs = [x for s in series for x in s.xs]
-    ys = [y for s in series for y in s.ys]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _span([x for s in series for x in s.xs])
+    y_lo, y_hi = _span([y for s in series for y in s.ys])
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -112,81 +126,42 @@ def render_line_chart(
     def sy(y: float) -> float:
         return MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.2f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{_escape(title)}</text>',
-    ]
-
     axis_color = "#333333"
     grid_color = "#dddddd"
     x0, y0 = MARGIN_LEFT, MARGIN_TOP + plot_h
 
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        _text(WIDTH / 2, 24, 16, title),
+    ]
     for tick in _ticks(x_lo, x_hi):
         px = sx(tick)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{MARGIN_TOP}" x2="{px:.2f}" y2="{y0}" '
-            f'stroke="{grid_color}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tick:.6g}</text>'
-        )
+        parts.append(_line(px, MARGIN_TOP, px, y0, grid_color, 1))
+        parts.append(_text(px, y0 + 18, 11, f"{tick:.6g}"))
     for tick in _ticks(y_lo, y_hi):
         py = sy(tick)
-        parts.append(
-            f'<line x1="{x0}" y1="{py:.2f}" x2="{x0 + plot_w}" y2="{py:.2f}" '
-            f'stroke="{grid_color}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{tick:.6g}</text>'
-        )
+        parts.append(_line(x0, py, x0 + plot_w, py, grid_color, 1))
+        parts.append(_text(x0 - 8, py + 4, 11, f"{tick:.6g}", anchor="end"))
+    parts += [
+        _line(x0, MARGIN_TOP, x0, y0, axis_color, 1.5),
+        _line(x0, y0, x0 + plot_w, y0, axis_color, 1.5),
+        _text(x0 + plot_w / 2, HEIGHT - 12, 13, x_label),
+        _text(20, MARGIN_TOP + plot_h / 2, 13, y_label, rotate=True),
+    ]
 
-    parts.append(
-        f'<line x1="{x0}" y1="{MARGIN_TOP}" x2="{x0}" y2="{y0}" '
-        f'stroke="{axis_color}" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" '
-        f'stroke="{axis_color}" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<text x="{x0 + plot_w / 2:.2f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{_escape(x_label)}</text>'
-    )
-    parts.append(
-        f'<text x="20" y="{MARGIN_TOP + plot_h / 2:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {MARGIN_TOP + plot_h / 2:.2f})">{_escape(y_label)}</text>'
-    )
-
+    legend_x, legend = x0 + plot_w - 150, []
     for index, s in enumerate(series):
         color = PALETTE[index % len(PALETTE)]
         if len(s.xs) == 1:
             (x,), (y,) = s.xs, s.ys
-            parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" fill="{color}"/>')
+            mark = f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" fill="{color}"/>'
         else:
             points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(s.xs, s.ys))
-            parts.append(
-                f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
-
-    legend_x = x0 + plot_w - 150
-    legend_y = MARGIN_TOP + 10
-    for index, s in enumerate(series):
-        color = PALETTE[index % len(PALETTE)]
-        ly = legend_y + index * 18
-        parts.append(
-            f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 22}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 28}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11">{_escape(s.label)}</text>'
-        )
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            mark = f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        parts.append(mark)
+        ly = MARGIN_TOP + 10 + index * 18
+        legend.append(_line(legend_x, ly, legend_x + 22, ly, color, 2))
+        legend.append(_text(legend_x + 28, ly + 4, 11, s.label, anchor=None))
+    return "\n".join([*parts, *legend, "</svg>"]) + "\n"

@@ -14,7 +14,7 @@ Subcommands:
 Exit codes: 0 success, 1 property violations (fuzz), 2 configuration or
 validation errors, including SIR arithmetic that overflows mid-run (for
 `oracle` also a target path the instance's rule never follows), 3 empty
-conditioning at every threshold, 4 I/O errors.
+conditioning at every threshold, 4 I/O errors, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -319,32 +319,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "biases epidemic outcome estimates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("figure2", parents=[shared],
-                       help="simulate one no-intervention trajectory")
-    p.set_defaults(handler=run_figure2)
-
-    p = sub.add_parser("figures34", parents=[shared],
-                       help="bias across intervention thresholds")
-    p.set_defaults(handler=run_figures34)
-
-    p = sub.add_parser("oracle", parents=[shared],
-                       help="exact analysis of a small tabular instance")
-    p.add_argument("instance",
-                   help="built-in name (%s) or JSON file"
-                        % ", ".join(sorted(BUILTIN_INSTANCES)))
-    p.set_defaults(handler=run_oracle)
-
-    p = sub.add_parser("fuzz-theorem", parents=[shared],
-                       help="randomized negative-bias theorem check")
-    p.add_argument("--count", type=int, default=100, metavar="N",
-                   help="number of generated instances (default 100)")
-    p.set_defaults(handler=run_fuzz_theorem)
-
-    p = sub.add_parser("print-config", parents=[shared],
-                       help="dump the effective configuration")
-    p.set_defaults(handler=run_print_config)
-
+    for name, handler, summary in (
+        ("figure2", run_figure2, "simulate one no-intervention trajectory"),
+        ("figures34", run_figures34, "bias across intervention thresholds"),
+        ("oracle", run_oracle, "exact analysis of a small tabular instance"),
+        ("fuzz-theorem", run_fuzz_theorem, "randomized negative-bias theorem check"),
+        ("print-config", run_print_config, "dump the effective configuration"),
+    ):
+        sub.add_parser(name, parents=[shared], help=summary).set_defaults(handler=handler)
+    sub.choices["oracle"].add_argument(
+        "instance", help="built-in name (%s) or JSON file" % ", ".join(sorted(BUILTIN_INSTANCES)))
+    sub.choices["fuzz-theorem"].add_argument(
+        "--count", type=int, default=100, metavar="N",
+        help="number of generated instances (default 100)")
     return parser
 
 
@@ -386,12 +373,13 @@ def main(argv=None) -> int:
             if key in SETTINGS["experiment"] and text is not None
         }
         config = apply_overrides(load_config(args.config), **flags)
-        if "\0" in config.out:  # which os refuses with ValueError, not OSError
-            raise ConfigError(f"out must not hold a NUL character, got {config.out!r}")
         return args.handler(args, config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except OSError as exc:
         target = getattr(exc, "filename", None)
         where = f" ({target})" if target else ""

@@ -65,6 +65,9 @@ class ExperimentConfig:
             raise ConfigError(f"thresholds must be strictly increasing: {self.thresholds}")
         if not self.out:
             raise ConfigError("out must name a directory, got an empty value")
+        for char, name in (("\0", "NUL"), ("\n", "line feed"), ("\r", "carriage return")):
+            if char in self.out:  # os refuses a NUL; an INI file cannot hold a line break
+                raise ConfigError(f"out must not hold a {name} character, got {self.out!r}")
 
     @cached_property
     def shared_pass(self) -> Pass:

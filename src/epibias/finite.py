@@ -680,18 +680,24 @@ def audit_zero_mean(dgp: FiniteDgp) -> float:
     """Max |sum_y (s_t(y) - 1) p_t(y | ...)| over all rows and futures.
 
     This is the appendix's zero-mean identity for the ratios s_t = lag0 /
-    lag1.  The lag-1 propensity here is the p_t-average of the same lag-0
-    propensity, so the sum is 1 - sum_y p_t(y) up to rounding: the audit
-    measures how far each outcome row reached along a treatment path is
-    from summing to one.  It does not compare two ways of computing the
-    ratios.
+    lag1, with lag0 from the backward pass and lag1 from the forward pass:
+    on a history y_0..y_{t-1} the path reaches, lag1 is F[T] summed over
+    y_t..y_T, divided by the reach F[t-1] * R[t-1].  The residual is the
+    backward pass's lag1 over the forward pass's, minus sum_y p_t(y), so it
+    shows a row that does not sum to one and any disagreement between the
+    passes.  On an unreached history lag1 is the p_t-average of lag0, which
+    checks the row sum alone.
     """
     worst = 0.0
     for path in itertools.product(range(len(dgp.treatment_values)), repeat=dgp.horizon):
         P, R = _pinned(dgp, path)
         lag0 = _backward(P, R, 1.0)
+        F = _forward(P, R, dgp.initial_outcome_index)
         for t in range(1, dgp.horizon):
+            reach = F[t - 1] * R[t - 1]
             lag1 = (P[t] * lag0[t]).sum(axis=-1)
+            joint = F[-1].sum(axis=tuple(range(t, dgp.horizon + 1)))
+            np.divide(joint, reach, out=lag1, where=reach != 0.0)
             live = lag1 != 0.0
             ratios = lag0[t][live] / lag1[live][:, None]
             residual = ((ratios - 1.0) * P[t][live]).sum(axis=-1)

@@ -1,5 +1,6 @@
 """SVG chart rendering: structure, determinism, degenerate data."""
 
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -95,3 +96,33 @@ def test_many_series_cycle_palette():
     doc = render_line_chart(series, title="", x_label="t", y_label="v")
     root = ET.fromstring(doc)
     assert len(root.findall(".//svg:polyline", NS)) >= 10
+
+
+# sha256 of the SVG text for the branches no figure golden draws, recorded
+# before the chart elements were drawn through shared helpers; the bytes
+# must not move.
+BRANCH_CHARTS = {
+    "one point": ([LineSeries("dot", (1.0,), (5.0,))], "", "t", "v"),
+    "constant": ([LineSeries("flat", (0.0, 1.0), (3.0, 3.0))], "", "t", "v"),
+    "more series than colours": (
+        [LineSeries(f"s{k}", (0.0, 1.0), (float(k), float(k + 1))) for k in range(10)],
+        "", "t", "v"),
+    "markup characters": (
+        [LineSeries("a < b & c > d", (0.0, 1.0, 2.0), (1.0, -2.0, 0.5)),
+         LineSeries("<&>", (0.5, 1.5), (0.0, 1.0))],
+        "R&D <title>", "x > 0 & y", "<y & z>"),
+}
+BRANCH_GOLDEN = {
+    "one point": "8267fb7830cc4fabe20d412be96a07b24e37ce7672b84415405978f6c557dc93",
+    "constant": "7fae5d95146dc47fe3553c6f5ff04f7c3b18f473b98424fd5c14b7328381f456",
+    "more series than colours": "1e454cf1af50aec13c2673cc53d532713a5e75e7da36a2bb8b61195ec131dba5",
+    "markup characters": "f27f682145b46a0bc9d3e23c5974662159b4fe6bb975cf55d2dad5791a62c8ef",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_CHARTS))
+def test_branch_golden_bytes(name):
+    series, title, x_label, y_label = BRANCH_CHARTS[name]
+    doc = render_line_chart(series, title=title, x_label=x_label, y_label=y_label)
+    ET.fromstring(doc)
+    assert hashlib.sha256(doc.encode()).hexdigest() == BRANCH_GOLDEN[name]

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from epibias import cli
 from epibias.cli import _attach_dash_values, build_parser, fmt, main
 from epibias.config import SETTINGS, ExperimentConfig, dump_config
+from epibias.errors import ConfigError
 from epibias.finite import (
     coin_epidemic, random_dgp, random_opportunistic_dgp, verify_theorem1,
 )
@@ -191,6 +193,17 @@ class TestFigures34:
             "threshold 0.4: retained 342/9888, bias -0.538949305",
             *(f"wrote {tmp_path / name}" for name in self.FILES),
         ]
+
+    @pytest.mark.parametrize("conditioning", sorted(GOLDEN))
+    def test_golden_partial_run_one_point_summary_chart(self, tmp_path, capsys, conditioning):
+        # One threshold retains, so the final-bias chart holds one point,
+        # drawn as a circle; recorded before the chart elements were drawn
+        # through shared helpers.
+        code = main([*self.GOLDEN_ARGV, "--out", str(tmp_path), "--conditioning", conditioning,
+                     "--thresholds", "0.0001,0.4"])
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "bias_summary.svg").read_bytes()).hexdigest()
+        assert digest == "523b9b86eb26dffffcffa7efc486e66ac99fe7b13bb0f543a20d0145a966bfd4"
 
     @pytest.mark.parametrize("conditioning", sorted(GOLDEN))
     def test_golden_all_empty_run(self, tmp_path, capsys, conditioning):
@@ -598,6 +611,17 @@ class TestConfigHandling:
             f"wrote {tmp_path / name}" for name in written]
         assert sorted(os.listdir(tmp_path)) == sorted([blocked, *written])
 
+    def test_interrupt_exits_130_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # Ctrl-C during a run ends it with one error line, not a traceback.
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "estimate_causal", interrupted)
+        code, captured = run_main(["figures34", "--out", str(tmp_path / "out")], capsys)
+        assert code == 130 and captured.out == ""
+        assert captured.err == "error: interrupted\n"
+        assert not (tmp_path / "out").exists()
+
 
 # Strings a hand-written INI value or flag might hold: non-finite and extreme
 # floats, signed zero, configparser interpolation syntax, empty, hex, booleans,
@@ -660,6 +684,33 @@ class TestSettingsBoundary:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: out must not hold a NUL character, got 'a\\x00b'\n"
         assert os.listdir(tmp_path) == ["nul.ini"]
+
+    @pytest.mark.parametrize("source", ["library", "flag", "ini"])
+    @pytest.mark.parametrize("char,name", [
+        ("\0", "NUL"), ("\n", "line feed"), ("\r", "carriage return"),
+    ])
+    def test_out_that_cannot_round_trip_is_refused(
+        self, tmp_path, monkeypatch, capsys, char, name, source
+    ):
+        # os refuses a NUL, and a line break in `out` would print INI text
+        # that reloads to another value or not at all.
+        if source == "library":
+            with pytest.raises(ConfigError, match=f"out must not hold a {name} character"):
+                ExperimentConfig(out=f"a{char}b")
+            return
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.ini"
+        # configparser joins an indented continuation line with "\n", and
+        # reads "\r" as a line break, so a line break reaches `out` that way.
+        value = "a\0b" if char == "\0" else f"a{char}  b"
+        cfg.write_bytes(f"[experiment]\nout = {value}\n".encode())
+        argv = ["--config", str(cfg)] if source == "ini" else ["--out", f"a{char}b"]
+        for command in (["print-config"], ["figures34", "--replicates", "20"]):
+            code, captured = run_main([*command, *argv], capsys)
+            assert code == 2 and captured.out == "" and "Traceback" not in captured.err
+            assert captured.err.startswith("error: out must not hold a ")
+            assert captured.err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["bad.ini"]
 
     @pytest.mark.parametrize("text", ["abc", "1.5", "0x10", ""])
     @pytest.mark.parametrize("key", ["seed", "replicates", "threads"])

@@ -139,6 +139,18 @@ class TestIdentities:
         monkeypatch.setattr(finite, "_pinned", scaled)
         assert audit_zero_mean(coin_epidemic()) == pytest.approx(1e-6, rel=1e-6)
 
+    @pytest.mark.parametrize("route", ["_backward", "_forward"])
+    def test_zero_mean_audit_reports_a_pass_that_disagrees(self, monkeypatch, route):
+        # One pass alone scales the last rule factor by 1 + 1e-6, so its lag-1
+        # propensity is off the other pass's by that factor on each reached row.
+        original = getattr(finite, route)
+
+        def scaled(P, R, *rest):
+            return original(P, [*R[:-1], R[-1] * (1.0 + 1e-6)], *rest)
+
+        monkeypatch.setattr(finite, route, scaled)
+        assert audit_zero_mean(coin_epidemic()) == pytest.approx(1e-6, rel=1e-5)
+
     def test_decomposition_audit_reports_the_largest_disagreement(self, monkeypatch):
         # coin-epidemic can follow (0, 0) and (0, 1) only; the second is off by 2e-6.
         via_ratios = finite.associational_via_ratios
