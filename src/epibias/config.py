@@ -68,6 +68,8 @@ class ExperimentConfig:
         for char, name in (("\0", "NUL"), ("\n", "line feed"), ("\r", "carriage return")):
             if char in self.out:  # os refuses a NUL; an INI file cannot hold a line break
                 raise ConfigError(f"out must not hold a {name} character, got {self.out!r}")
+        if self.out != self.out.strip():  # an INI value and a flag are read stripped
+            raise ConfigError(f"out must not begin or end with whitespace, got {self.out!r}")
 
     @cached_property
     def shared_pass(self) -> Pass:

@@ -73,7 +73,8 @@ class FiniteDgp:
 
     Each kind of kernel is given as a row function, called per history key,
     or as a dict t -> table: an array in the layout above, or a JSON table
-    of rows by "a=...;y=..." key.  The constructor checks the header once,
+    of rows by "a=...;y=..." key, spelled exactly as `to_dict` writes it
+    (`_row_keys`).  The constructor checks the header once,
     refuses an oversized instance before it builds any table, and keeps
     fresh read-only float64 tables, so the passes along a target path run
     once: `_reports` keeps what they give per target path.
@@ -140,17 +141,10 @@ class FiniteDgp:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        def keys(t, shape):
-            a_part, y_part = (
-                [",".join(map(str, index)) for index in itertools.product(*map(range, axes))]
-                for axes in (shape[:t], shape[t:])
-            )
-            return [f"a={a};y={y}" for a in a_part for y in y_part]
-
         def dump(tables):
             return {
                 str(t): dict(zip(
-                    keys(t, table.shape[:-1]), table.reshape(-1, table.shape[-1]).tolist()
+                    _row_keys(t, table.shape[:-1]), table.reshape(-1, table.shape[-1]).tolist()
                 ))
                 for t, table in tables.items()
             }
@@ -291,20 +285,23 @@ def _validated(kind, t, table: np.ndarray, shape) -> np.ndarray:
             )
 
 
+def _row_keys(t, shape) -> list[str]:
+    """The "a=...;y=..." key of every row of a table with history `shape`, in C order."""
+    a_part, y_part = (
+        [",".join(map(str, index)) for index in itertools.product(*map(range, axes))]
+        for axes in (shape[:t], shape[t:])
+    )
+    return [f"a={a};y={y}" for a in a_part for y in y_part]
+
+
 def _place_rows(kind, t, shape, width, serialized: dict) -> list:
-    """The rows of one JSON table in C order; its keys must cover `shape` once."""
-    placed = {}
+    """The rows of one JSON table in C order; its keys must be exactly those `to_dict` writes."""
+    keys = _row_keys(t, shape)
+    expected = set(keys)
     for key, row in serialized.items():
-        a_idx, y_idx = _parse_key(key)
-        index = a_idx + y_idx
-        if (
-            len(a_idx) != t
-            or len(index) != len(shape)
-            or not all(i in range(n) for i, n in zip(index, shape))
-            or index in placed
-        ):
+        if key not in expected:
             raise KernelValidationError(
-                f"{kind} kernel t={t}: key {key!r} is not a new history inside the alphabets"
+                f"{kind} kernel t={t}: key {key!r} is not the key of a history in the alphabets"
             )
         if len(row) != width:
             raise KernelValidationError(
@@ -315,24 +312,11 @@ def _place_rows(kind, t, shape, width, serialized: dict) -> list:
             raise KernelValidationError(
                 f"{kind} kernel t={t} key {key!r}: entries must be numbers, got {row!r}"
             )
-        placed[index] = row
-    if len(placed) != math.prod(shape):
+    if len(serialized) != len(keys):
         raise KernelValidationError(
-            f"{kind} kernel t={t}: expected {math.prod(shape)} rows, got {len(placed)}"
+            f"{kind} kernel t={t}: expected {len(keys)} rows, got {len(serialized)}"
         )
-    return [placed[index] for index in sorted(placed)]
-
-
-def _parse_key(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    try:
-        a_part, y_part = text.split(";")
-        a_body = a_part.removeprefix("a=")
-        y_body = y_part.removeprefix("y=")
-        a_idx = tuple(int(x) for x in a_body.split(",")) if a_body else ()
-        y_idx = tuple(int(x) for x in y_body.split(",")) if y_body else ()
-    except ValueError as exc:
-        raise KernelValidationError(f"kernel key {text!r} is not 'a=...;y=...'") from exc
-    return (a_idx, y_idx)
+    return [serialized[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,13 @@ class SirParams:
 
     @property
     def initial_outcome(self) -> float:
-        """y_0 = 1 - S_0/N, the infected share before any step runs."""
+        """y_0 = I_0/N, the infected share before any step runs.
+
+        It equals 1 - S_0/N only up to rounding (0.0002 against
+        0.00019999999999997797 at the defaults).  `figures34`'s t = 0 row
+        prints this value, while `figure2`'s t = 0 `y` cell prints
+        1 - S_0/N; both print 0.0002 at the defaults.
+        """
         return self.initial_infected / self.population
 
 

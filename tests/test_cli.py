@@ -252,6 +252,11 @@ MUTATIONS = {
         (lambda data: data["outcome_kernels"]["2"].pop("a=1,1;y=0,2"), "expected 36 rows"),
     "empty table": (lambda data: data["outcome_kernels"].update({"1": {}}), "got 0"),
     "bad key separator": (rename_key("outcome_kernels", "1", "a=0;y=0", "a=0|y=0"), "'a=0|y=0'"),
+    # Spellings that int() reads as the key "a=0;y=0": row keys are read as to_dict writes them.
+    **{
+        f"key alias {alias!r}": (rename_key("outcome_kernels", "1", "a=0;y=0", alias), repr(alias))
+        for alias in ("a=+0;y=0", "a= 0;y=0", "a=0 ;y=0", "a=0;y=+0", "a=0;y=0_0")
+    },
     "non-integral treatment":
         (lambda data: data.update(treatment_values=[0.5, 1]), "must be an integer"),
     "non-integral initial index":

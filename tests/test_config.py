@@ -46,6 +46,20 @@ def test_ini_round_trip_is_exact(tmp_path):
     assert load_config(str(path)) == cfg
 
 
+@pytest.mark.parametrize("out", [" a", "a ", "\ta", "a\xa0", "   "])
+def test_out_with_outer_whitespace_is_refused(out):
+    # An INI value is read stripped, so such an `out` would not reload as written.
+    with pytest.raises(ConfigError, match="out must not begin or end with whitespace"):
+        ExperimentConfig(out=out)
+
+
+def test_out_with_inner_whitespace_round_trips(tmp_path):
+    cfg = ExperimentConfig(out="a b\tc")
+    path = tmp_path / "exp.ini"
+    path.write_text(dump_config(cfg))
+    assert load_config(str(path)) == cfg
+
+
 def test_partial_file_keeps_other_defaults(tmp_path):
     path = tmp_path / "partial.ini"
     path.write_text("[experiment]\nreplicates = 5\n")

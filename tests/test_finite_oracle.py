@@ -330,6 +330,13 @@ class TestValidation:
                 dgp.rule_kernels,
             )
 
+    def test_row_key_alias_refused(self):
+        data = coin_epidemic().to_dict()
+        table = data["outcome_kernels"]["1"]
+        table["a=+0;y=0"] = table.pop("a=0;y=0")
+        with pytest.raises(KernelValidationError, match="'a=\\+0;y=0'"):
+            FiniteDgp.from_dict(data)
+
 
 def test_dict_round_trip():
     dgp = coin_epidemic()
